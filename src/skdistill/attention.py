@@ -78,7 +78,6 @@ class Projector:
 
     weight: Tensor  # (d_u, c_src)
     bias: Tensor    # (d_u,)
-    trainable: bool = True
 
     @property
     def out_channels(self) -> int:
@@ -88,16 +87,12 @@ class Projector:
     def in_channels(self) -> int:
         return self.weight.shape[1]
 
-    def params(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
-
-def make_projector(c_src: int, d_u: int, rng: np.random.Generator,
-                   trainable: bool = True) -> Projector:
+def make_projector(c_src: int, d_u: int, rng: np.random.Generator) -> Projector:
     scale = 1.0 / math.sqrt(c_src)
-    weight = Tensor(rng.normal(scale=scale, size=(d_u, c_src)), requires_grad=trainable)
-    bias = Tensor(np.zeros(d_u), requires_grad=trainable)
-    return Projector(weight, bias, trainable)
+    weight = Tensor(rng.normal(scale=scale, size=(d_u, c_src)), requires_grad=True)
+    bias = Tensor(np.zeros(d_u), requires_grad=True)
+    return Projector(weight, bias)
 
 
 def project(p: Projector, f: FeatureMap) -> FeatureMap:
@@ -136,6 +131,18 @@ def channel_cross_attention(t: FeatureMap, s: FeatureMap,
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
+_SOFTMAX_AXES = {"columns": 0, "rows": 1}
+
+
+def _spatial_args(t: FeatureMap, s: FeatureMap, policy: LambdaPolicy,
+                  softmax_axis: str) -> tuple[float, int]:
+    """(logit scale 1/lambda, softmax axis index) of a validated pair."""
+    _check_pair(t, s)
+    if softmax_axis not in _SOFTMAX_AXES:
+        raise ConfigError(f"softmax_axis must be 'columns' or 'rows', got {softmax_axis!r}")
+    return 1.0 / policy.resolve(t.channels), _SOFTMAX_AXES[softmax_axis]
+
+
 def spatial_attention_matrix(t: FeatureMap, s: FeatureMap,
                              policy: LambdaPolicy = LambdaPolicy(),
                              softmax_axis: str = "columns") -> Tensor:
@@ -143,25 +150,23 @@ def spatial_attention_matrix(t: FeatureMap, s: FeatureMap,
 
     Column normalization (the default) makes each output column of S @ B a
     convex combination of student pixel columns, mirroring the channel case.
+    This is the composite reference; `spatial_cross_attention` runs the same
+    math as one fused op and never materialises the logits on the graph.
     """
-    _check_pair(t, s)
-    if softmax_axis not in ("columns", "rows"):
-        raise ConfigError(f"softmax_axis must be 'columns' or 'rows', got {softmax_axis!r}")
-    lam = policy.resolve(t.channels)
+    scale, axis = _spatial_args(t, s, policy, softmax_axis)
     # scale the (C, N) operand rather than the (N, N) logits: same math,
     # one full pass over the big matrix saved in each direction
-    scaled = T.mul(t.matrix(), 1.0 / lam)
+    scaled = T.mul(t.matrix(), scale)
     logits = T.matmul(T.transpose(scaled), s.matrix())
-    if softmax_axis == "columns":
-        return T.softmax_cols(logits)
-    return T.softmax_rows(logits)
+    return T.softmax_cols(logits) if axis == 0 else T.softmax_rows(logits)
 
 
 def spatial_cross_attention(t: FeatureMap, s: FeatureMap,
                             policy: LambdaPolicy = LambdaPolicy(),
                             softmax_axis: str = "columns") -> FeatureMap:
-    b = spatial_attention_matrix(t, s, policy, softmax_axis)
-    out = T.matmul(s.matrix(), b)
+    """S @ spatial_attention_matrix(t, s), fused into one engine op."""
+    scale, axis = _spatial_args(t, s, policy, softmax_axis)
+    out = T.spatial_attend(t.matrix(), s.matrix(), scale, axis)
     return FeatureMap(T.reshape(out, s.values.shape))
 
 

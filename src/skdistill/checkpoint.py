@@ -122,7 +122,11 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u32()
-        name = r.take(name_len).decode("utf-8")
+        name_offset = r.offset
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointFormatError(f"bad tensor name at offset {name_offset}: {exc}") from exc
         dtype_offset = r.offset
         dtype = r.u8()
         if dtype != DTYPE_FLOAT64:

@@ -1,7 +1,9 @@
 """Command-line entry point for reproduction runs.
 
 Subcommands: synth, train-teacher, distill, eval, count, gradcheck.
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 training
+aborted on a non-finite loss (train-teacher and distill still write the
+last good parameters to --out, with `"aborted": true` in the meta).
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ from pathlib import Path
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .data import Sample, make_samples, read_image, write_image
-from .errors import SkdError
+from .errors import ConfigError, SkdError
 from .gradsuite import DEFAULT_TOL, run_gradcheck_suite, total_trials
 from .models import count_params_flops
 from .trainer import distill, evaluate, train_teacher
+
+EXIT_ABORTED = 3
+_MANIFEST_KEYS = ("task", "count", "channels", "base_seed")
 
 
 def _apply_seed(run: RunConfig, seed: int | None) -> RunConfig:
@@ -57,9 +62,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_manifest(root: Path) -> dict:
+    path = root / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    missing = [k for k in _MANIFEST_KEYS if k not in manifest]
+    if missing:
+        raise ConfigError(f"{path} lacks {missing}")
+    count = manifest["count"]
+    if type(count) is not int or count < 1:
+        raise ConfigError(f"{path}: count must be a positive integer, got {count!r}")
+    if manifest["channels"] not in (1, 3):
+        raise ConfigError(f"{path}: channels must be 1 or 3, got {manifest['channels']!r}")
+    return manifest
+
+
 def _load_dataset(path: str) -> list[Sample]:
     root = Path(path)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
+    manifest = _read_manifest(root)
     samples = []
     for i in range(manifest["count"]):
         clean = read_image(root / _image_name(i, "clean", manifest["channels"]))
@@ -81,7 +105,7 @@ def cmd_train_teacher(args) -> int:
           f"heldout psnr {evals.get('psnr_restored', float('nan')):.2f} dB "
           f"(degraded {evals.get('psnr_degraded', float('nan')):.2f} dB)")
     print(f"checkpoint -> {args.out}")
-    return 0
+    return EXIT_ABORTED if result.aborted else 0
 
 
 def cmd_distill(args) -> int:
@@ -97,7 +121,7 @@ def cmd_distill(args) -> int:
           f"gk {last.get('gk', float('nan')):.5f}, "
           f"cl {last.get('cl', float('nan')):.5f})")
     print(f"checkpoint -> {args.out}")
-    return 0
+    return EXIT_ABORTED if result.aborted else 0
 
 
 def cmd_eval(args) -> int:
@@ -139,6 +163,17 @@ def cmd_gradcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def _seed(text: str) -> int:
+    """argparse type for --seed: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skdistill",
@@ -149,39 +184,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["denoise", "deblur", "derain"])
     p.add_argument("--spec", required=True, help="run config JSON (data section is used)")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-teacher", help="train the reference network")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_train_teacher)
 
     p = sub.add_parser("distill", help="distill the compact student")
     p.add_argument("--config", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("eval", help="metrics report for a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("count", help="parameter/FLOP accounting")
     p.add_argument("--config", required=True)
     p.add_argument("--baseline")
     p.add_argument("--size", type=int, default=128)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_gradcheck)
     return parser

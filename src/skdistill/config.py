@@ -39,6 +39,8 @@ class TrainConfig:
                 f"need lr_max >= lr_min > 0, got lr_max={self.lr_max} lr_min={self.lr_min}")
         if self.eval_interval < 1:
             raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         d = {

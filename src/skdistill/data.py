@@ -44,6 +44,8 @@ class CorpusSpec:
             raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
         if self.task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass
@@ -258,6 +260,8 @@ def read_image(path: str | Path) -> np.ndarray:
     while len(fields) < 4:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
+        if pos >= len(raw):
+            raise ConfigError(f"image header truncated after {len(fields)} of 4 fields")
         if raw[pos:pos + 1] == b"#":
             while pos < len(raw) and raw[pos:pos + 1] != b"\n":
                 pos += 1
@@ -266,9 +270,14 @@ def read_image(path: str | Path) -> np.ndarray:
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
         fields.append(raw[start:pos])
-    magic, w, h, maxval = fields[0], int(fields[1]), int(fields[2]), int(fields[3])
+    magic = fields[0]
     if magic not in (b"P5", b"P6"):
         raise ConfigError(f"unsupported image magic {magic!r}")
+    if not all(f.isdigit() for f in fields[1:]):
+        raise ConfigError(f"image header fields must be decimal integers, got {fields[1:]!r}")
+    w, h, maxval = (int(f) for f in fields[1:])
+    if w < 1 or h < 1:
+        raise ConfigError(f"image extents must be >= 1, got {w}x{h}")
     if maxval != 255:
         raise ConfigError(f"only 8-bit images supported, got maxval {maxval}")
     pos += 1  # single whitespace after maxval

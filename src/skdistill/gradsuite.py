@@ -8,6 +8,7 @@ exceed one hundred trials total while staying fast.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,22 @@ def _structural_checks(rng) -> list[CheckResult]:
         target = Tensor(r.normal(size=(3, 4)))
         return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(scale=3.0, size=(3, 4)))
     results.append(_run("softmax rows/cols", 8, rng, softmax_case))
+
+    def spatial_attend_case(axis):
+        inputs = itertools.cycle(("t", "s"))   # both inputs on every axis
+
+        def case(r):
+            other = Tensor(r.normal(size=(2, 3)))
+            target = Tensor(r.normal(size=(2, 3)))
+            scale = float(r.uniform(0.3, 1.5))
+            if next(inputs) == "t":
+                fn = lambda x: T.spatial_attend(x, other, scale, axis)
+            else:
+                fn = lambda x: T.spatial_attend(other, x, scale, axis)
+            return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(size=(2, 3)))
+        return case
+    results.append(_run("spatial_attend columns (t/s)", 4, rng, spatial_attend_case(0)))
+    results.append(_run("spatial_attend rows (t/s)", 4, rng, spatial_attend_case(1)))
 
     def ln_case(r):
         gamma = Tensor(r.uniform(0.5, 1.5, size=3))

@@ -6,8 +6,8 @@ Creation order gives a topological order, so `backward` sweeps nodes in
 exact reverse creation order, which keeps runs bitwise reproducible.
 
 Multiply-accumulate counts (for the complexity accounting) are recorded
-only by `matmul` and the two convolution ops, under the convention
-1 MAC = 2 FLOPs.
+only by `matmul`, `linear`, `spatial_attend` and the two convolution ops,
+under the convention 1 MAC = 2 FLOPs.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def _record_macs(n: int) -> None:
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_id", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_id", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents: tuple = (),
                  op: str = "leaf", backward: Callable | None = None):
@@ -298,10 +299,14 @@ def sqrt(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), requires_grad=a.requires_grad,
+    y = np.exp(a.data)
+    out = Tensor(y, requires_grad=a.requires_grad,
                  parents=(a,) if a.requires_grad else (), op="exp")
     if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g * out.data)
+        # close over the array, not `out`: a closure that reaches its own
+        # node makes a cycle, and the whole graph then waits for the
+        # cyclic collector instead of dying with its last reference
+        out._backward = lambda g: a._accum_owned(g * y)
     return out
 
 
@@ -448,6 +453,63 @@ def softmax_rows(a) -> Tensor:
 def softmax_cols(a) -> Tensor:
     """Column-wise softmax; same stability shift, normalized along axis 0."""
     return _softmax(a, 0, "softmax_cols")
+
+
+def spatial_attend(t, s, scale: float, axis: int) -> Tensor:
+    """s @ softmax(scale * t^T s) for (C, N) inputs, as one graph node.
+
+    The softmax runs over `axis` of the (N, N) logits (0: columns, 1: rows)
+    with the same operation sequence as `_softmax`, so the output is bitwise
+    that of the composite `matmul(s, softmax_*(matmul(transpose(t * scale),
+    s)))`. Only the probability matrix is kept for the backward; the logits
+    and the N x N gradients live for one call each. Records the MACs of the
+    two matmuls it replaces, 2 * C * N^2.
+    """
+    t, s = as_tensor(t), as_tensor(s)
+    if t.ndim != 2 or t.shape != s.shape:
+        raise ShapeError(f"spatial_attend expects two equal (C, N) matrices, "
+                         f"got {t.shape} and {s.shape}")
+    if min(t.shape) < 1:
+        raise ShapeError(f"spatial_attend over an empty dimension, shape {t.shape}")
+    if axis not in (0, 1):
+        raise RangeError(f"spatial_attend axis must be 0 or 1, got {axis}")
+    c, n = s.shape
+    _record_macs(2 * c * n * n)
+    ts = t.data * scale
+    b = ts.T @ s.data
+    b -= b.max(axis=axis, keepdims=True)
+    np.exp(b, out=b)
+    b /= b.sum(axis=axis, keepdims=True)
+    y = s.data @ b
+    req = t.requires_grad or s.requires_grad
+    parents = tuple(p for p in (t, s) if p.requires_grad)
+    out = Tensor(y, requires_grad=req, parents=parents, op="spatial_attend")
+    if req:
+        def backward(g):
+            # softmax Jacobian: dL = B * (dB - r) with dB = s^T g and r the
+            # sums of B * dB along `axis`. Those sums have (C, N) closed
+            # forms, sum_c g * y (columns) or sum_c s * (g B^T) (rows), and
+            # the subtraction rides in dB's matmul as one extra row, so
+            # dL costs one N x N product and one N x N multiply.
+            gbt = g @ b.T
+            minus_one = np.full((1, n), -1.0)
+            if axis == 0:
+                lhs = np.vstack([s.data, minus_one])
+                rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
+            else:
+                lhs = np.vstack([s.data, np.einsum("ci,ci->i", s.data, gbt)[None]])
+                rhs = np.vstack([g, minus_one])
+            dl = lhs.T @ rhs
+            dl *= b
+            if s.requires_grad:
+                gbt += ts @ dl
+                s._accum_owned(gbt)
+            if t.requires_grad:
+                dt = s.data @ dl.T
+                dt *= scale
+                t._accum_owned(dt)
+        out._backward = backward
+    return out
 
 
 def linear(w, m, bias) -> Tensor:

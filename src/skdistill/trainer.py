@@ -21,7 +21,7 @@ from .attention import Projector, cross_net_features, make_projector
 from .checkpoint import Checkpoint
 from .config import RunConfig, config_hash
 from .data import Sample, batch_indices, make_samples, normalize, denormalize
-from .errors import ConfigError, NonFiniteError, RangeError
+from .errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from .losses import (
     PhiExtractor,
     contrastive_loss_from_features,
@@ -126,7 +126,7 @@ def _restoration_psnr(net: RestorationNet, samples: list[Sample]) -> dict:
 
 def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
               kind: str, state: AdamState, param_names: list[str], step: int,
-              rng_state: dict) -> Checkpoint:
+              rng_state: dict, aborted: bool) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for name, p in net.params().items():
         tensors[f"net.{name}"] = p.data
@@ -142,6 +142,8 @@ def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
         "config_hash": config_hash(run),
         "adam_t": state.t,
     }
+    if aborted:
+        meta["aborted"] = True
     return Checkpoint(step=step, rng_state=rng_state, meta=meta, tensors=tensors)
 
 
@@ -191,6 +193,11 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
             for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
                                            cfg.seed, epoch):
                 lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
+                # drop the last step's graph (it hangs off `loss` alone) before
+                # this forward, not when the forward's result rebinds the name.
+                # Here, after adam_step, measured fewer page faults per teacher
+                # step than right after backward.
+                loss = None
                 batch = [train_samples[i] for i in batch_ids]
                 try:
                     loss, components = loss_fn(batch)
@@ -223,7 +230,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
     finally:
         T.set_nan_checks(scan_was_on)
     ckpt = _finalize(net, extra_params, run, kind, state, names, step,
-                     trainer_rng.bit_generator.state)
+                     trainer_rng.bit_generator.state, aborted)
     return TrainResult(checkpoint=ckpt, history=history,
                        eval_history=eval_history, aborted=aborted)
 
@@ -262,7 +269,10 @@ def _tap_channels(cfg: ModelConfig) -> list[int]:
 
 def load_net(ckpt: Checkpoint) -> RestorationNet:
     """Rebuild the checkpointed net; parameters come from the 'net.' tensors."""
-    cfg = ModelConfig.from_dict(ckpt.meta["model"])
+    model = ckpt.meta.get("model") if isinstance(ckpt.meta, dict) else None
+    if not isinstance(model, dict):
+        raise CheckpointFormatError("checkpoint meta has no 'model' section")
+    cfg = ModelConfig.from_dict(model)
     net = build_net(cfg, 0)
     state = {name[len("net."):]: arr for name, arr in ckpt.tensors.items()
              if name.startswith("net.")}

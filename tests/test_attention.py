@@ -62,7 +62,7 @@ class TestProject:
 
     def test_parameter_count_closed_form(self):
         p = make_projector(c_src=5, d_u=3, rng=np.random.default_rng(0))
-        assert sum(t.size for t in p.params()) == 5 * 3 + 3
+        assert p.weight.size + p.bias.size == 5 * 3 + 3
 
 
 class TestChannelAttention:
@@ -143,6 +143,44 @@ class TestSpatialAttention:
         t, s = random_pair(9)
         with pytest.raises(ConfigError):
             spatial_attention_matrix(t, s, softmax_axis="diag")
+        with pytest.raises(ConfigError):
+            spatial_cross_attention(t, s, softmax_axis="diag")
+
+
+class TestFusedSpatialAttention:
+    """The fused op against the composite reference it replaces."""
+
+    @staticmethod
+    def run(fused, shape, axis, seed):
+        g = np.random.default_rng(seed)
+        t = Tensor(g.normal(size=shape), requires_grad=True)
+        s = Tensor(g.normal(size=shape), requires_grad=True)
+        weight = Tensor(g.normal(size=shape))
+        ft, fs = FeatureMap(t), FeatureMap(s)
+        with T.count_macs() as counter:
+            if fused:
+                out = spatial_cross_attention(ft, fs, softmax_axis=axis).values
+            else:
+                b = spatial_attention_matrix(ft, fs, softmax_axis=axis)
+                out = T.reshape(T.matmul(fs.matrix(), b), shape)
+        T.sum_(T.mul(out, weight)).backward()
+        return out.data, t.grad, s.grad, counter.macs
+
+    @pytest.mark.parametrize("axis", ["columns", "rows"])
+    @pytest.mark.parametrize("hw", [(2, 2), (7, 5), (32, 32)])
+    def test_matches_composite_path(self, hw, axis):
+        shape = (4,) + hw
+        out, dt, ds, macs = self.run(True, shape, axis, seed=sum(hw))
+        ref_out, ref_dt, ref_ds, ref_macs = self.run(False, shape, axis, seed=sum(hw))
+        assert out.tobytes() == ref_out.tobytes()
+        for got, want in ((dt, ref_dt), (ds, ref_ds)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert macs == ref_macs == 2 * 4 * (hw[0] * hw[1]) ** 2
+
+    def test_rejects_mismatched_operands(self):
+        g = np.random.default_rng(0)
+        with pytest.raises(ShapeError):
+            T.spatial_attend(Tensor(g.normal(size=(2, 3))), Tensor(g.normal(size=(3, 3))), 1.0, 0)
 
 
 class TestNormalizationProperties:

@@ -109,6 +109,13 @@ class TestErrors:
         with pytest.raises(CheckpointFormatError, match="dtype"):
             checkpoint_from_bytes(bytes(blob))
 
+    def test_non_utf8_tensor_name(self):
+        blob = checkpoint_to_bytes(Checkpoint(step=0, tensors={"x": np.zeros(2)}))
+        name_at = blob.index(b"x\x00")   # the name, then its dtype byte
+        bad = blob[:name_at] + b"\xff" + blob[name_at + 1:]
+        with pytest.raises(CheckpointFormatError, match="tensor name"):
+            checkpoint_from_bytes(bad)
+
     def test_failed_load_leaves_no_file_side_effects(self, tmp_path):
         path = tmp_path / "bad.skdc"
         path.write_bytes(b"SKDC" + b"\x01\x00\x00\x00" + b"\x01")

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from skdistill.cli import main
+from skdistill import cli
+from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from skdistill.cli import EXIT_ABORTED, main
 from skdistill.config import RunConfig, TrainConfig, save_run_config
 from skdistill.data import CorpusSpec
 from skdistill.models import ModelConfig
+from skdistill.trainer import TrainResult
 
 
 @pytest.fixture()
@@ -113,6 +116,89 @@ class TestSynthEval:
         main(["synth", "--spec", str(cfg_path), "--out", str(a)])
         main(["synth", "--spec", str(cfg_path), "--out", str(b), "--threads", "4"])
         assert (a / "00003_degraded.pgm").read_bytes() == (b / "00003_degraded.pgm").read_bytes()
+
+
+class TestAbortExitCode:
+    @pytest.fixture()
+    def aborting(self, monkeypatch):
+        def aborted_run(*args, **kwargs):
+            return TrainResult(checkpoint=Checkpoint(step=3), aborted=True)
+        monkeypatch.setattr(cli, "train_teacher", aborted_run)
+        monkeypatch.setattr(cli, "distill", aborted_run)
+
+    def test_train_teacher_abort(self, aborting, tiny_run, tmp_path, capsys):
+        _, cfg_path = tiny_run
+        out = tmp_path / "teacher.skdc"
+        assert EXIT_ABORTED not in (0, 1, 2)
+        assert main(["train-teacher", "--config", str(cfg_path), "--out", str(out)]) \
+            == EXIT_ABORTED
+        assert load_checkpoint(out).step == 3
+        assert capsys.readouterr().out.startswith("aborted")
+
+    def test_distill_abort(self, aborting, tiny_run, tmp_path, capsys):
+        _, cfg_path = tiny_run
+        teacher, out = tmp_path / "teacher.skdc", tmp_path / "student.skdc"
+        save_checkpoint(Checkpoint(), teacher)
+        assert main(["distill", "--config", str(cfg_path), "--teacher", str(teacher),
+                     "--out", str(out)]) == EXIT_ABORTED
+        assert load_checkpoint(out).step == 3
+
+
+class TestBoundaryErrors:
+    """Bad input at a boundary gives exit 1 or 2 and an error line, never a traceback."""
+
+    @pytest.fixture()
+    def dataset(self, tiny_run, tmp_path):
+        _, cfg_path = tiny_run
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(cfg_path), "--out", str(data)]) == 0
+        ckpt = tmp_path / "bare.skdc"
+        save_checkpoint(Checkpoint(), ckpt)
+        return data, ckpt
+
+    def eval_exit(self, data, ckpt, tmp_path, capsys):
+        capsys.readouterr()
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(data),
+                     "--report", str(tmp_path / "r.json")])
+        return code, capsys.readouterr().err
+
+    def test_negative_seed_is_a_usage_error(self, tiny_run, tmp_path, capsys):
+        _, cfg_path = tiny_run
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--spec", str(cfg_path), "--out", str(tmp_path / "d"),
+                  "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["count", "channels"])
+    def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
+        data, ckpt = dataset
+        manifest = json.loads((data / "manifest.json").read_text())
+        del manifest[key]
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert key in err
+
+    def test_manifest_not_json(self, dataset, tmp_path, capsys):
+        data, ckpt = dataset
+        (data / "manifest.json").write_text("{count: 8")
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "invalid JSON" in err
+
+    def test_garbled_image_header(self, dataset, tmp_path, capsys):
+        data, ckpt = dataset
+        (data / "00002_clean.pgm").write_bytes(b"P5\n1x 16\n255\n" + bytes(256))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "header" in err
+
+    def test_checkpoint_without_model_meta(self, dataset, tmp_path, capsys):
+        data, ckpt = dataset
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "model" in err
 
 
 def test_gradcheck_command_exit_zero(capsys):

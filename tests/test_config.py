@@ -43,6 +43,10 @@ class TestDefaults:
             LossWeights(tau=-1.0)
         with pytest.raises(ConfigError):
             LossWeights(gk_mode="rms")
+        with pytest.raises(ConfigError):
+            TrainConfig(seed=-1)
+        with pytest.raises(ConfigError):
+            CorpusSpec(base_seed=-1)
 
 
 class TestRoundtrip:

@@ -181,6 +181,15 @@ class TestImageIo:
         with pytest.raises(ConfigError):
             read_image(path)
 
+    @pytest.mark.parametrize("blob", [b"", b"P5", b"P5\n4 4", b"P5\n4 4\n# no maxval\n",
+                                      b"P5\n4 x\n255\n", b"P5\n-4 4\n255\n",
+                                      b"P6\n0 4\n255\n", b"P5\n4 4\n\xff\xfe\n"])
+    def test_bad_header_rejected(self, tmp_path, blob):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(blob + bytes(64))
+        with pytest.raises(ConfigError):
+            read_image(path)
+
 
 def test_samples_are_deterministic_and_tagged():
     spec = CorpusSpec(count=3, patch_size=8, task="deblur")

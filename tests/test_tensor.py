@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from skdistill.errors import NonFiniteError, RangeError, ShapeError
 from skdistill import tensor as T
+from skdistill.losses import gaussian_kernel_distance
 from skdistill.tensor import Tensor
 
 
@@ -169,6 +172,26 @@ class TestGraph:
         first, second = run(), run()
         for a, b in zip(first, second):
             assert a.tobytes() == b.tobytes()
+
+
+class TestGraphRelease:
+    def test_graph_dies_with_its_loss_without_the_cyclic_collector(self):
+        g = rng(7)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            t = Tensor(g.normal(size=(3, 6)), requires_grad=True)
+            s = Tensor(g.normal(size=(3, 6)), requires_grad=True)
+            e = T.exp(T.mul(t, 0.1))
+            mixed = T.spatial_attend(e, s, 0.5, 0)
+            loss = gaussian_kernel_distance(mixed, Tensor(g.normal(size=(3, 6))), 1.0)
+            loss.backward(leaves=[t, s])
+            probes = [weakref.ref(e), weakref.ref(mixed)]
+            del e, mixed, loss
+            assert [p() for p in probes] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestNanPolicy:

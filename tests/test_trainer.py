@@ -4,7 +4,7 @@ import pytest
 from skdistill.checkpoint import Checkpoint, checkpoint_to_bytes
 from skdistill.config import RunConfig, TrainConfig, config_hash
 from skdistill.data import CorpusSpec
-from skdistill.errors import ConfigError, NonFiniteError, RangeError
+from skdistill.errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from skdistill.losses import LossWeights
 from skdistill.models import ModelConfig, build_net
 from skdistill.tensor import Tensor
@@ -14,6 +14,7 @@ from skdistill.trainer import (
     cosine_lr,
     distill,
     evaluate,
+    load_net,
     make_train_heldout,
     train_restoration,
     train_teacher,
@@ -90,6 +91,7 @@ class TestTeacherTraining:
         samples, held = make_train_heldout(run)
         res = train_teacher(run, samples, held)
         assert not res.aborted
+        assert "aborted" not in res.checkpoint.meta
         assert res.history[-1]["loss"] < res.history[0]["loss"]
         assert res.eval_history
         assert {"psnr_restored", "psnr_degraded"} <= set(res.eval_history[-1])
@@ -126,6 +128,7 @@ class TestTeacherTraining:
         samples[0].degraded = np.full_like(samples[0].degraded, np.nan)
         res = train_teacher(run, samples, held)
         assert res.aborted
+        assert res.checkpoint.meta["aborted"] is True
         total = run.train.epochs * (len(samples) // run.train.batch_size)
         assert res.checkpoint.step < total
         # network parameters are the last good ones (the failed step never applied)
@@ -250,3 +253,9 @@ def test_heldout_block_is_disjoint_and_sized():
     assert len(held) == max(4, run.data.count // 5)
     train_bytes = {s.clean.tobytes() for s in samples}
     assert all(h.clean.tobytes() not in train_bytes for h in held)
+
+
+@pytest.mark.parametrize("meta", [{}, {"model": "net"}, ["model"]])
+def test_load_net_needs_model_meta(meta):
+    with pytest.raises(CheckpointFormatError, match="model"):
+        load_net(Checkpoint(meta=meta))
