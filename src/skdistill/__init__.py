@@ -12,8 +12,8 @@ from .attention import (
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, TrainConfig, config_hash, load_run_config, save_run_config
-from .data import CorpusSpec, Sample, batch_iter, degrade, denormalize, make_clean_corpus, \
-    make_samples, normalize
+from .data import CorpusSpec, Sample, degrade, denormalize, make_clean_corpus, make_samples, \
+    normalize
 from .errors import (
     CheckpointError,
     CheckpointFormatError,
@@ -29,7 +29,7 @@ from .errors import (
 from .losses import (
     LossWeights,
     PhiExtractor,
-    contrastive_loss,
+    contrastive_loss_from_features,
     gaussian_kernel_distance,
     gk_feature_loss,
     reconstruction_loss,
@@ -52,11 +52,11 @@ __all__ = [
     "FeatureMap", "LambdaPolicy", "Projector", "project", "make_projector",
     "channel_cross_attention", "spatial_cross_attention", "cross_net_features",
     "LossWeights", "PhiExtractor", "gaussian_kernel_distance", "gk_feature_loss",
-    "contrastive_loss", "reconstruction_loss", "total_loss",
+    "contrastive_loss_from_features", "reconstruction_loss", "total_loss",
     "ModelConfig", "RestorationNet", "build_net", "compress_config",
     "count_params_flops", "reduction_percentages",
     "CorpusSpec", "Sample", "make_clean_corpus", "make_samples", "degrade",
-    "normalize", "denormalize", "batch_iter",
+    "normalize", "denormalize",
     "psnr", "ssim",
     "Checkpoint", "save_checkpoint", "load_checkpoint",
     "RunConfig", "TrainConfig", "config_hash", "load_run_config", "save_run_config",

@@ -30,9 +30,8 @@ _MANIFEST_KEYS = ("task", "count", "channels", "base_seed")
 def _apply_seed(run: RunConfig, seed: int | None) -> RunConfig:
     if seed is None:
         return run
-    return RunConfig(model=run.model, student_model=run.student_model,
-                     train=replace(run.train, seed=seed),
-                     data=replace(run.data, base_seed=seed))
+    return replace(run, train=replace(run.train, seed=seed),
+                   data=replace(run.data, base_seed=seed))
 
 
 def _image_name(index: int, kind: str, channels: int) -> str:
@@ -45,7 +44,7 @@ def cmd_synth(args) -> int:
     spec = replace(run.data, task=args.task) if args.task else run.data
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    samples = make_samples(spec, threads=args.threads)
+    samples = make_samples(spec)
     for i, sample in enumerate(samples):
         write_image(out / _image_name(i, "clean", spec.channels), sample.clean)
         write_image(out / _image_name(i, "degraded", spec.channels), sample.degraded)
@@ -185,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="run config JSON (data section is used)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train-teacher", help="train the reference network")
@@ -205,14 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("count", help="parameter/FLOP accounting")
     p.add_argument("--config", required=True)
     p.add_argument("--baseline")
     p.add_argument("--size", type=int, default=128)
-    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient audit")

@@ -1,8 +1,9 @@
 """Synthetic clean-image corpus, degradations, normalization, batching.
 
 Every image is a pure function of (base seed, index), so corpora are
-reproducible and may be generated in parallel across indices. Degradations
-are identity at zero strength by construction.
+reproducible and any index range can be made on its own (the held-out block
+follows the training corpus). Degradations are identity at zero strength by
+construction.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,17 +105,12 @@ def make_clean_image(spec: CorpusSpec, index: int) -> np.ndarray:
 
 
 def make_clean_corpus(spec: CorpusSpec, *, first_index: int = 0,
-                      count: int | None = None, threads: int = 1) -> list[np.ndarray]:
+                      count: int | None = None) -> list[np.ndarray]:
     """Clean images for indices [first_index, first_index + count)."""
     n = spec.count if count is None else count
     if n < 1:
         raise ConfigError(f"corpus count must be >= 1, got {n}")
-    indices = range(first_index, first_index + n)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda i: make_clean_image(spec, i), indices))
-    return [make_clean_image(spec, i) for i in indices]
+    return [make_clean_image(spec, i) for i in range(first_index, first_index + n)]
 
 
 def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
@@ -183,9 +178,9 @@ def degrade(clean: np.ndarray, task: str, spec: CorpusSpec, seed: int) -> np.nda
 
 
 def make_samples(spec: CorpusSpec, *, first_index: int = 0,
-                 count: int | None = None, threads: int = 1) -> list[Sample]:
+                 count: int | None = None) -> list[Sample]:
     """Paired clean/degraded samples for the configured task."""
-    cleans = make_clean_corpus(spec, first_index=first_index, count=count, threads=threads)
+    cleans = make_clean_corpus(spec, first_index=first_index, count=count)
     samples = []
     for offset, clean in enumerate(cleans):
         idx = first_index + offset
@@ -219,23 +214,6 @@ def batch_indices(n: int, batch_size: int, seed: int, epoch: int) -> list[list[i
     order = rng_for(seed, "batches", epoch).permutation(n)
     n_batches = n // batch_size
     return [order[i * batch_size:(i + 1) * batch_size].tolist() for i in range(n_batches)]
-
-
-def batch_iter(corpus: Sequence, batch_size: int, seed: int,
-               epochs: int | None = None) -> Iterator[list]:
-    """Deterministic batch stream; iterates `epochs` epochs (forever if None)."""
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    if len(corpus) < 1:
-        raise ConfigError("empty corpus")
-    if len(corpus) < batch_size:
-        raise ConfigError(
-            f"corpus of {len(corpus)} cannot fill a batch of {batch_size}")
-    epoch = 0
-    while epochs is None or epoch < epochs:
-        for batch in batch_indices(len(corpus), batch_size, seed, epoch):
-            yield [corpus[i] for i in batch]
-        epoch += 1
 
 
 def write_image(path: str | Path, img: np.ndarray) -> None:

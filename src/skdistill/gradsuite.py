@@ -25,7 +25,7 @@ from .attention import (
 from .losses import (
     LossWeights,
     PhiExtractor,
-    contrastive_loss,
+    contrastive_loss_from_features,
     gaussian_kernel_distance,
     gk_feature_loss,
     reconstruction_loss,
@@ -258,9 +258,9 @@ def _loss_checks(rng) -> list[CheckResult]:
 
     def cl_case(r):
         phi = PhiExtractor(1, int(r.integers(1000)))
-        t_r = Tensor(r.normal(size=(1, 8, 8)))
-        negs = [Tensor(r.normal(size=(1, 8, 8))) for _ in range(2)]
-        return lambda x: contrastive_loss(x, t_r, negs, phi, tau=0.5), \
+        pos = phi(Tensor(r.normal(size=(1, 8, 8))))
+        negs = [phi(Tensor(r.normal(size=(1, 8, 8)))) for _ in range(2)]
+        return lambda x: contrastive_loss_from_features(phi(x), pos, negs, 0.5), \
             Tensor(r.normal(size=(1, 8, 8)))
     results.append(_run("contrastive (tau=0.5)", 3, rng, cl_case))
 
@@ -274,15 +274,15 @@ def _loss_checks(rng) -> list[CheckResult]:
         p_s = make_projector(2, 2, r)
         mix = Tensor(r.normal(size=(8, 64)))
         target = Tensor(r.normal(size=(1, 8, 8)))
-        t_out = Tensor(r.normal(size=(1, 8, 8)))
-        negs = [Tensor(r.normal(size=(1, 8, 8)))]
+        pos = phi(Tensor(r.normal(size=(1, 8, 8))))
+        negs = [phi(Tensor(r.normal(size=(1, 8, 8))))]
 
         def fn(x):
             s_f, s_fc, s_ft, t_f = cross_net_features(t_raw, FeatureMap(x), p_t, p_s)
             gk = gk_feature_loss([s_f], [s_fc], [s_ft], [t_f], w)
             image = T.reshape(T.matmul(T.reshape(x, (1, 8)), mix), (1, 8, 8))
             rec = reconstruction_loss(image, target)
-            cl = contrastive_loss(image, t_out, negs, phi, w.tau)
+            cl = contrastive_loss_from_features(phi(image), pos, negs, w.tau)
             return total_loss(rec, gk, cl, w)
         return fn, Tensor(r.normal(size=(2, 2, 2)))
     results.append(_run("full distillation objective", 2, rng, total_case))

@@ -152,7 +152,10 @@ def nce_loss_from_logits(positive: Tensor, negatives: Sequence[Tensor]) -> Tenso
 def contrastive_loss_from_features(anchor: Tensor, positive: Tensor,
                                    negative_feats: Sequence[Tensor],
                                    tau: float) -> Tensor:
-    """Contrastive objective on already-extracted feature vectors."""
+    """Contrastive objective on phi features: pull the anchor toward the
+    positive and away from the negatives. Gradient reaches whatever the
+    features were computed from; the trainer detaches the positive and
+    negative images so only the anchor (the student output) learns."""
     if tau <= 0:
         raise RangeError(f"tau must be positive, got {tau}")
     if not negative_feats:
@@ -161,16 +164,6 @@ def contrastive_loss_from_features(anchor: Tensor, positive: Tensor,
     l_pos = T.mul(cosine_similarity(anchor, positive), inv_tau)
     l_neg = [T.mul(cosine_similarity(anchor, feat), inv_tau) for feat in negative_feats]
     return nce_loss_from_logits(l_pos, l_neg)
-
-
-def contrastive_loss(s_r: Tensor, t_r: Tensor, negatives: Sequence[Tensor],
-                     phi: PhiExtractor, tau: float) -> Tensor:
-    """Pull the anchor restoration toward the reference output and away from
-    the degraded inputs; gradient flows to `s_r` only."""
-    if not negatives:
-        raise ConfigError("contrastive loss needs at least one negative")
-    return contrastive_loss_from_features(
-        phi(s_r), phi(t_r.detach()), [phi(img.detach()) for img in negatives], tau)
 
 
 def reconstruction_loss(s_r: Tensor, g: Tensor) -> Tensor:

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import FeatureMap
+from .configdict import DictConfig
 from .errors import ConfigError, ShapeError
 from .seeding import rng_for
 from .tensor import Tensor
@@ -33,7 +34,7 @@ FFN_EXPANSION = 2
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictConfig):
     """Per-level block counts plus channel widths."""
 
     level_layers: list[int] = field(default_factory=lambda: [1, 1])
@@ -63,21 +64,6 @@ class ModelConfig:
     @property
     def spatial_divisor(self) -> int:
         return 2 ** (self.levels - 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "level_layers": list(self.level_layers),
-            "base_channels": self.base_channels,
-            "unified_dim": self.unified_dim,
-            "input_channels": self.input_channels,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {"level_layers", "base_channels", "unified_dim", "input_channels"}
-        if unknown:
-            raise ConfigError(f"unknown ModelConfig fields: {sorted(unknown)}")
-        return cls(**d)
 
 
 def compress_config(teacher: ModelConfig, layer_scale: list[int],

@@ -89,19 +89,15 @@ class TrainResult:
     aborted: bool = False
 
 
-def _tensor_pair(sample: Sample) -> tuple[Tensor, Tensor]:
-    return Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
-
-
 def _heldout_count(n: int) -> int:
     return max(4, n // 5)
 
 
-def make_train_heldout(run: RunConfig, threads: int = 1) -> tuple[list[Sample], list[Sample]]:
+def make_train_heldout(run: RunConfig) -> tuple[list[Sample], list[Sample]]:
     """Training samples plus a fresh held-out block after them."""
-    train = make_samples(run.data, threads=threads)
+    train = make_samples(run.data)
     held = make_samples(run.data, first_index=run.data.count,
-                        count=_heldout_count(run.data.count), threads=threads)
+                        count=_heldout_count(run.data.count))
     return train, held
 
 
@@ -112,21 +108,22 @@ def _mean_loss(parts: list[Tensor]) -> Tensor:
     return T.mul(total, 1.0 / len(parts))
 
 
+def _restore(net: RestorationNet, sample: Sample) -> np.ndarray:
+    """The net's restoration of one degraded sample, clipped to [0, 1]."""
+    out = net.forward(Tensor(normalize(sample.degraded)))
+    return np.clip(denormalize(out.data), 0.0, 1.0)
+
+
 def _restoration_psnr(net: RestorationNet, samples: list[Sample]) -> dict:
-    restored_scores = []
-    degraded_scores = []
-    for s in samples:
-        out = net.forward(Tensor(normalize(s.degraded)))
-        restored = np.clip(denormalize(out.data), 0.0, 1.0)
-        restored_scores.append(psnr(restored, s.clean, 1.0))
-        degraded_scores.append(psnr(s.degraded, s.clean, 1.0))
-    return {"psnr_restored": float(np.mean(restored_scores)),
-            "psnr_degraded": float(np.mean(degraded_scores))}
+    restored = [psnr(_restore(net, s), s.clean, 1.0) for s in samples]
+    degraded = [psnr(s.degraded, s.clean, 1.0) for s in samples]
+    return {"psnr_restored": float(np.mean(restored)),
+            "psnr_degraded": float(np.mean(degraded))}
 
 
 def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
               kind: str, state: AdamState, param_names: list[str], step: int,
-              rng_state: dict, aborted: bool) -> Checkpoint:
+              aborted: bool) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for name, p in net.params().items():
         tensors[f"net.{name}"] = p.data
@@ -144,7 +141,7 @@ def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
     }
     if aborted:
         meta["aborted"] = True
-    return Checkpoint(step=step, rng_state=rng_state, meta=meta, tensors=tensors)
+    return Checkpoint(step=step, meta=meta, tensors=tensors)
 
 
 class _EmaTracker:
@@ -177,7 +174,6 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
         raise ConfigError(
             f"{len(train_samples)} samples cannot fill a batch of {cfg.batch_size}")
     total_steps = cfg.epochs * batches_per_epoch
-    trainer_rng = rng_for(cfg.seed, "trainer", kind)
     history: list[dict] = []
     eval_history: list[dict] = []
     ema = _EmaTracker()
@@ -213,7 +209,6 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
                     # was either not applied or rejected by adam_step)
                     aborted = True
                     break
-                trainer_rng.integers(0, 2**32)  # one draw per step: resumable stream
                 step += 1
                 record = {"step": step, "lr": lr, "loss": loss_value,
                           "ema": ema.update(loss_value)}
@@ -229,8 +224,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
             eval_history.append(entry)
     finally:
         T.set_nan_checks(scan_was_on)
-    ckpt = _finalize(net, extra_params, run, kind, state, names, step,
-                     trainer_rng.bit_generator.state, aborted)
+    ckpt = _finalize(net, extra_params, run, kind, state, names, step, aborted)
     return TrainResult(checkpoint=ckpt, history=history,
                        eval_history=eval_history, aborted=aborted)
 
@@ -247,7 +241,7 @@ def train_restoration(model_cfg: ModelConfig, run: RunConfig, role: str,
     def loss_fn(batch):
         parts = []
         for sample in batch:
-            x, target = _tensor_pair(sample)
+            x, target = Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
             parts.append(reconstruction_loss(net.forward(x), target))
         rec = _mean_loss(parts)
         return rec, {"rec": rec.item(), "gk": 0.0, "cl": 0.0}
@@ -374,8 +368,7 @@ def evaluate(ckpt: Checkpoint, samples: list[Sample]) -> dict:
     psnr_scores = []
     ssim_scores = []
     for s in samples:
-        out = net.forward(Tensor(normalize(s.degraded)))
-        restored = np.clip(denormalize(out.data), 0.0, 1.0)
+        restored = _restore(net, s)
         psnr_scores.append(psnr(restored, s.clean, 1.0))
         ssim_scores.append(ssim(restored, s.clean, 1.0))
     h, w_ = samples[0].clean.shape[1], samples[0].clean.shape[2]

@@ -35,7 +35,7 @@ from skdistill.gradsuite import run_gradcheck_suite, total_trials
 from skdistill.losses import (
     LossWeights,
     PhiExtractor,
-    contrastive_loss,
+    contrastive_loss_from_features,
     gaussian_kernel_distance,
     total_loss,
 )
@@ -121,7 +121,7 @@ class TestClosedFormLossIdentities:
         phi = PhiExtractor(1, seed=0)
         s_r = Tensor(g.normal(size=(1, 8, 8)))
         t_r = Tensor(g.normal(size=(1, 8, 8)))
-        loss = contrastive_loss(s_r, t_r, [t_r] * 8, phi, tau=1e-6).item()
+        loss = contrastive_loss_from_features(phi(s_r), phi(t_r), [phi(t_r)] * 8, 1e-6).item()
         assert abs(loss - math.log(9.0)) < 1e-12
 
         w = LossWeights(alpha2=0.2, alpha3=0.2)

@@ -110,13 +110,6 @@ class TestSynthEval:
         main(["synth", "--spec", str(cfg_path), "--out", str(b), "--seed", "2"])
         assert (a / "00000_clean.pgm").read_bytes() != (b / "00000_clean.pgm").read_bytes()
 
-    def test_synth_threads_deterministic(self, tiny_run, tmp_path):
-        _, cfg_path = tiny_run
-        a, b = tmp_path / "a", tmp_path / "b"
-        main(["synth", "--spec", str(cfg_path), "--out", str(a)])
-        main(["synth", "--spec", str(cfg_path), "--out", str(b), "--threads", "4"])
-        assert (a / "00003_degraded.pgm").read_bytes() == (b / "00003_degraded.pgm").read_bytes()
-
 
 class TestAbortExitCode:
     @pytest.fixture()
@@ -169,6 +162,12 @@ class TestBoundaryErrors:
                   "--seed", "-1"])
         assert exc.value.code == 2
         assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_wrongly_typed_config_value(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"model": {"base_channels": "x"}}))
+        assert main(["count", "--config", str(path)]) == 1
+        assert "model.base_channels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["count", "channels"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):

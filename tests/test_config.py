@@ -1,6 +1,11 @@
+import dataclasses
 import json
+import re
+import typing
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skdistill.config import (
     RunConfig,
@@ -10,7 +15,7 @@ from skdistill.config import (
     save_run_config,
 )
 from skdistill.data import CorpusSpec
-from skdistill.errors import ConfigError
+from skdistill.errors import ConfigError, SkdError
 from skdistill.losses import LossWeights
 from skdistill.models import ModelConfig
 
@@ -100,3 +105,69 @@ class TestHash:
         c = RunConfig(train=TrainConfig(seed=99))
         assert config_hash(a) != config_hash(c)
         assert len(config_hash(a)) == 64
+
+
+class TestTypedReader:
+    @pytest.mark.parametrize("blob, path", [
+        ({"train": 5}, "train"),
+        ({"model": {"base_channels": "x"}}, "model.base_channels"),
+        ({"data": {"count": "3"}}, "data.count"),
+        ({"train": {"loss": {"tau": "a"}}}, "train.loss.tau"),
+        ({"data": {"count": True}}, "data.count"),
+        ({"model": {"level_layers": [1, 2.0]}}, "model.level_layers[1]"),
+        ({"student_model": []}, "student_model"),
+    ])
+    def test_wrong_type_names_the_field(self, blob, path):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            RunConfig.from_dict(blob)
+
+    def test_int_accepted_where_float_declared(self):
+        run = RunConfig.from_dict({"train": {"lr_max": 1, "loss": {"lambda_value": 2}}})
+        assert run.train.lr_max == 1
+        assert run.train.loss.lambda_value == 2
+        assert RunConfig.from_dict(run.to_dict()) == run
+
+    def test_unset_optionals_written_as_null(self):
+        blob = RunConfig().to_dict()
+        assert blob["student_model"] is None
+        assert blob["train"]["distill_blocks"] is None
+        assert RunConfig.from_dict(blob) == RunConfig()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+def _nested_dataclass(hint):
+    for candidate in (hint, *typing.get_args(hint)):
+        if dataclasses.is_dataclass(candidate):
+            return candidate
+    return None
+
+
+def config_blobs(cls):
+    """Dicts over cls's field names (plus a stray key) with JSON values;
+    nested dataclass fields also get dicts of their own fields."""
+    hints = typing.get_type_hints(cls)
+    optional = {}
+    for f in dataclasses.fields(cls):
+        nested = _nested_dataclass(hints[f.name])
+        optional[f.name] = JSON_VALUES | config_blobs(nested) if nested else JSON_VALUES
+    optional["stray"] = JSON_VALUES
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+class TestReaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(config_blobs(RunConfig) | JSON_VALUES)
+    def test_builds_or_raises_skd_error(self, blob):
+        try:
+            run = RunConfig.from_dict(blob)
+        except SkdError:
+            return
+        again = RunConfig.from_dict(run.to_dict())
+        assert json.dumps(again.to_dict(), sort_keys=True) == \
+            json.dumps(run.to_dict(), sort_keys=True)

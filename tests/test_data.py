@@ -4,7 +4,6 @@ import pytest
 from skdistill.data import (
     CorpusSpec,
     batch_indices,
-    batch_iter,
     degrade,
     denormalize,
     make_clean_corpus,
@@ -30,12 +29,6 @@ class TestCleanCorpus:
         (img,) = make_clean_corpus(spec)
         assert img.shape == (1, 8, 8)
         assert img.min() >= 0.0 and img.max() <= 1.0
-
-    def test_parallel_generation_matches_serial(self):
-        spec = CorpusSpec(count=6, patch_size=16, base_seed=3)
-        serial = make_clean_corpus(spec)
-        parallel = make_clean_corpus(spec, threads=4)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(serial, parallel))
 
     def test_mean_calibration_over_thousand_images(self):
         spec = CorpusSpec(count=1000, patch_size=16, base_seed=11)
@@ -127,22 +120,21 @@ class TestNormalize:
 
 class TestBatching:
     def test_sixteen_over_eight_gives_two(self):
-        corpus = list(range(16))
-        batches = list(batch_iter(corpus, 8, seed=0, epochs=1))
+        batches = batch_indices(16, 8, seed=0, epoch=0)
         assert len(batches) == 2
-        assert sorted(x for b in batches for x in b) == corpus
+        assert sorted(x for b in batches for x in b) == list(range(16))
 
     def test_partial_batch_dropped(self):
-        batches = list(batch_iter(list(range(17)), 8, seed=0, epochs=1))
+        batches = batch_indices(17, 8, seed=0, epoch=0)
         assert len(batches) == 2
         assert sum(len(b) for b in batches) == 16
 
     def test_same_seed_same_sequence(self):
-        a = list(batch_iter(list(range(20)), 4, seed=3, epochs=2))
-        b = list(batch_iter(list(range(20)), 4, seed=3, epochs=2))
-        assert a == b
-        c = list(batch_iter(list(range(20)), 4, seed=4, epochs=2))
-        assert a != c
+        def epochs(seed):
+            return [batch_indices(20, 4, seed=seed, epoch=e) for e in range(2)]
+
+        assert epochs(3) == epochs(3)
+        assert epochs(3) != epochs(4)
 
     def test_epochs_reshuffle(self):
         e0 = batch_indices(32, 8, seed=0, epoch=0)
@@ -151,7 +143,7 @@ class TestBatching:
 
     def test_empty_corpus(self):
         with pytest.raises(ConfigError):
-            next(batch_iter([], 4, seed=0))
+            batch_indices(0, 4, seed=0, epoch=0)
 
 
 class TestImageIo:

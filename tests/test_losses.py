@@ -20,7 +20,7 @@ from skdistill.errors import (
 from skdistill.losses import (
     LossWeights,
     PhiExtractor,
-    contrastive_loss,
+    contrastive_loss_from_features,
     cosine_similarity,
     gaussian_kernel_distance,
     gk_block_loss,
@@ -154,8 +154,8 @@ class TestContrastiveLoss:
         phi = PhiExtractor(in_channels=1, seed=0)
         s_r = Tensor(g.normal(size=(1, 8, 8)))
         t_r = Tensor(g.normal(size=(1, 8, 8)))
-        negatives = [t_r] * 8  # identical to the positive: all cosines equal
-        loss = contrastive_loss(s_r, t_r, negatives, phi, tau=1e-6).item()
+        negatives = [phi(t_r)] * 8  # identical to the positive: all cosines equal
+        loss = contrastive_loss_from_features(phi(s_r), phi(t_r), negatives, 1e-6).item()
         assert abs(loss - math.log(9.0)) < 1e-12
 
     def test_derived_two_point_value(self):
@@ -194,7 +194,9 @@ class TestContrastiveLoss:
         s_r = Tensor(g.normal(size=(1, 8, 8)), requires_grad=True)
         t_r = Tensor(g.normal(size=(1, 8, 8)), requires_grad=True)
         neg = Tensor(g.normal(size=(1, 8, 8)), requires_grad=True)
-        loss = contrastive_loss(s_r, t_r, [neg], phi, tau=0.5)
+        # the distillation call form: reference and negatives enter detached
+        loss = contrastive_loss_from_features(phi(s_r), phi(t_r.detach()),
+                                              [phi(neg.detach())], 0.5)
         loss.backward(leaves=[s_r, t_r, neg])
         assert np.any(s_r.grad != 0.0)
         assert np.array_equal(t_r.grad, np.zeros_like(t_r.data))
@@ -203,10 +205,10 @@ class TestContrastiveLoss:
     def test_gradcheck_at_moderate_tau(self):
         g = np.random.default_rng(5)
         phi = PhiExtractor(in_channels=1, seed=1)
-        t_r = Tensor(g.normal(size=(1, 8, 8)))
-        negs = [Tensor(g.normal(size=(1, 8, 8))) for _ in range(2)]
+        pos = phi(Tensor(g.normal(size=(1, 8, 8))))
+        negs = [phi(Tensor(g.normal(size=(1, 8, 8)))) for _ in range(2)]
         err = T.gradcheck(
-            lambda x: contrastive_loss(x, t_r, negs, phi, tau=0.5),
+            lambda x: contrastive_loss_from_features(phi(x), pos, negs, 0.5),
             Tensor(g.normal(size=(1, 8, 8))), eps=1e-5)
         assert err < 1e-4
 
@@ -214,7 +216,7 @@ class TestContrastiveLoss:
         phi = PhiExtractor(in_channels=1, seed=0)
         img = Tensor(np.ones((1, 8, 8)))
         with pytest.raises(ConfigError):
-            contrastive_loss(img, img, [], phi, tau=0.5)
+            contrastive_loss_from_features(phi(img), phi(img), [], 0.5)
 
 
 class TestReconstructionLoss:
