@@ -5,11 +5,11 @@ Layout, all little-endian:
     magic           4 bytes  b"SKDC"
     version         u32      = 1
     step            u64
-    rng_len         u32      followed by UTF-8 JSON of the RNG state ({} if none)
-    meta_len        u32      followed by UTF-8 JSON metadata (configs etc.)
+    rng_len         u32      followed by a UTF-8 JSON object: the RNG state ({} if none)
+    meta_len        u32      followed by a UTF-8 JSON object: metadata (configs etc.)
     tensor_count    u32
     per tensor:
-        name_len    u32      followed by UTF-8 name
+        name_len    u32      followed by UTF-8 name, unique in the file
         dtype       u8       0 = float64 (the only code)
         rank        u8
         dims        u32 * rank
@@ -22,6 +22,7 @@ no partial state. Errors carry the byte offset of the problem.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,11 +74,14 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 
 
 class _Reader:
+    """Cursor over the blob; `take` returns views, so a payload is copied
+    only once, when its array is made."""
+
     def __init__(self, blob: bytes):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.offset + n > len(self.blob):
             raise CheckpointTruncatedError(
                 f"checkpoint truncated at offset {self.offset}: "
@@ -95,10 +99,23 @@ class _Reader:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
+    def json_object(self, what: str) -> dict:
+        """A u32-length-prefixed UTF-8 JSON object."""
+        n = self.u32()
+        offset = self.offset
+        try:
+            value = json.loads(str(self.take(n), "utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise CheckpointFormatError(f"bad {what} JSON at offset {offset}: {exc}") from exc
+        if not isinstance(value, dict):
+            raise CheckpointFormatError(
+                f"{what} at offset {offset} must be a JSON object, got {type(value).__name__}")
+        return value
+
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     r = _Reader(blob)
-    magic = r.take(4)
+    magic = bytes(r.take(4))
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
     version = r.u32()
@@ -106,37 +123,35 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         raise CheckpointVersionError(
             f"unsupported checkpoint version {version} at offset 4, expected {VERSION}")
     step = r.u64()
-    rng_len = r.u32()
-    rng_offset = r.offset
-    try:
-        rng_state = json.loads(r.take(rng_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"bad RNG state JSON at offset {rng_offset}: {exc}") from exc
-    meta_len = r.u32()
-    meta_offset = r.offset
-    try:
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"bad metadata JSON at offset {meta_offset}: {exc}") from exc
+    rng_state = r.json_object("RNG state")
+    meta = r.json_object("metadata")
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         name_len = r.u32()
         name_offset = r.offset
         try:
-            name = r.take(name_len).decode("utf-8")
+            name = str(r.take(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointFormatError(f"bad tensor name at offset {name_offset}: {exc}") from exc
+        if name in tensors:
+            raise CheckpointFormatError(f"duplicate tensor {name!r} at offset {name_offset}")
         dtype_offset = r.offset
         dtype = r.u8()
         if dtype != DTYPE_FLOAT64:
             raise CheckpointFormatError(
                 f"unknown dtype code {dtype} for tensor {name!r} at offset {dtype_offset}")
         rank = r.u8()
+        dims_offset = r.offset
         dims = tuple(r.u32() for _ in range(rank))
-        n_values = int(np.prod(dims)) if dims else 1
-        payload = r.take(8 * n_values)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        payload = r.take(8 * math.prod(dims))
+        try:
+            # numpy refuses a rank above its limit, and extents whose non-zero
+            # product overflows, even when the payload is empty
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"bad dims for tensor {name!r} at offset {dims_offset}: {exc}") from exc
     if r.offset != len(blob):
         raise CheckpointFormatError(
             f"{len(blob) - r.offset} trailing bytes at offset {r.offset}")

@@ -2,13 +2,14 @@
 
 The writer is `dataclasses.asdict`. The reader walks `dataclasses.fields`
 and the resolved annotations, recursing into nested dataclass fields, and
-turns every unknown key or wrongly typed value into a `ConfigError` that
+turns every unknown key, wrongly typed value or non-finite float into a `ConfigError` that
 names the dotted field path. Value ranges stay with each `__post_init__`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -59,4 +60,7 @@ def _value(hint, value, path: str):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(f"{path} must be {hint.__name__}, got {type(value).__name__}")
+    # json reads NaN/Infinity, and a NaN passes every range check after this
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be finite, got {value}")
     return value

@@ -10,6 +10,10 @@ depthwise-separable strided 3x3; upsampling is nearest-neighbor + depthwise
 final 3x3 projection is zero-initialized so a fresh net is the identity
 (global residual).
 
+`param_layout` lists every parameter with its shape and init rule, once:
+`build_net` fills it with draws from the seed, `RestorationNet.from_state`
+with given arrays (a checkpoint), drawing nothing.
+
 `count_params_flops` walks the same layout arithmetically and must agree
 exactly with an instrumented forward trace (1 MAC = 2 FLOPs; only matmuls
 and convolutions count).
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -83,64 +88,102 @@ def compress_config(teacher: ModelConfig, layer_scale: list[int],
                        input_channels=teacher.input_channels)
 
 
+class ParamSpec(NamedTuple):
+    """One parameter of the layout and the rule that initialises it."""
+
+    name: str
+    shape: tuple[int, ...]
+    init: str          # "normal" (draw with std `scale`), "zeros" or "ones"
+    scale: float = 0.0
+
+
+def _conv3x3(name: str, c_in: int, c_out: int, zero: bool = False) -> Iterator[ParamSpec]:
+    if zero:
+        yield ParamSpec(f"{name}.w", (c_out, c_in, 3, 3), "zeros")
+    else:
+        yield ParamSpec(f"{name}.w", (c_out, c_in, 3, 3), "normal", 1.0 / math.sqrt(9.0 * c_in))
+    yield ParamSpec(f"{name}.b", (c_out,), "zeros")
+
+
+def _dw3x3(name: str, c: int) -> Iterator[ParamSpec]:
+    yield ParamSpec(f"{name}.w", (c, 3, 3), "normal", 1.0 / 3.0)
+    yield ParamSpec(f"{name}.b", (c,), "zeros")
+
+
+def _pw(name: str, c_in: int, c_out: int) -> Iterator[ParamSpec]:
+    yield ParamSpec(f"{name}.w", (c_out, c_in), "normal", 1.0 / math.sqrt(c_in))
+    yield ParamSpec(f"{name}.b", (c_out,), "zeros")
+
+
+def _ln(name: str, c: int) -> Iterator[ParamSpec]:
+    yield ParamSpec(f"{name}.g", (c,), "ones")
+    yield ParamSpec(f"{name}.b", (c,), "zeros")
+
+
+def _group(prefix: str, blocks: int, c: int) -> Iterator[ParamSpec]:
+    for j in range(blocks):
+        base = f"{prefix}.b{j}"
+        yield from _pw(f"{base}.fuse", (j + 1) * c, c)
+        yield from _ln(f"{base}.ln1", c)
+        for head in ("q", "k", "v", "o"):
+            yield from _pw(f"{base}.attn.{head}", c, c)
+        yield from _ln(f"{base}.ln2", c)
+        yield from _pw(f"{base}.ffn.w1", c, FFN_EXPANSION * c)
+        yield from _pw(f"{base}.ffn.w2", FFN_EXPANSION * c, c)
+
+
+def param_layout(cfg: ModelConfig) -> Iterator[ParamSpec]:
+    """Every parameter of the net for `cfg`, in initialisation (and draw) order."""
+    c1 = cfg.base_channels
+    yield from _conv3x3("embed", cfg.input_channels, c1)
+    for level in range(1, cfg.levels):
+        c = cfg.channels_at(level)
+        yield from _group(f"enc{level}", cfg.level_layers[level - 1], c)
+        yield from _dw3x3(f"down{level}.dw", c)
+        yield from _pw(f"down{level}.pw", c, 2 * c)
+    yield from _group("lat", cfg.level_layers[-1], cfg.channels_at(cfg.levels))
+    for level in range(cfg.levels - 1, 0, -1):
+        c = cfg.channels_at(level)
+        yield from _dw3x3(f"up{level}.dw", 2 * c)
+        yield from _pw(f"up{level}.fuse", 3 * c, c)
+        yield from _group(f"dec{level}", cfg.level_layers[level - 1], c)
+    yield from _conv3x3("final", c1, cfg.input_channels, zero=True)
+
+
+def _initial_value(spec: ParamSpec, rng: np.random.Generator) -> np.ndarray:
+    if spec.init == "normal":
+        return rng.normal(scale=spec.scale, size=spec.shape)
+    return (np.ones if spec.init == "ones" else np.zeros)(spec.shape)
+
+
 class RestorationNet:
-    """Parameter container plus the forward pass described above."""
+    """Parameter container plus the forward pass described above.
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    `build_net` draws fresh parameters; `from_state` loads given ones.
+    """
+
+    def __init__(self, cfg: ModelConfig, arrays: dict[str, np.ndarray], requires_grad: bool):
         self.cfg = cfg
-        self.seed = seed
-        self._params: dict[str, Tensor] = {}
-        rng = rng_for(seed, "net-init")
-        c1 = cfg.base_channels
-        self._add_conv3x3(rng, "embed", cfg.input_channels, c1)
-        for level in range(1, cfg.levels):
-            c = cfg.channels_at(level)
-            self._add_group(rng, f"enc{level}", cfg.level_layers[level - 1], c)
-            self._add_dw3x3(rng, f"down{level}.dw", c)
-            self._add_pw(rng, f"down{level}.pw", c, 2 * c)
-        self._add_group(rng, "lat", cfg.level_layers[-1], cfg.channels_at(cfg.levels))
-        for level in range(cfg.levels - 1, 0, -1):
-            c = cfg.channels_at(level)
-            self._add_dw3x3(rng, f"up{level}.dw", 2 * c)
-            self._add_pw(rng, f"up{level}.fuse", 3 * c, c)
-            self._add_group(rng, f"dec{level}", cfg.level_layers[level - 1], c)
-        self._add_conv3x3(rng, "final", c1, cfg.input_channels, zero=True)
+        self._params = {name: Tensor(a, requires_grad=requires_grad)
+                        for name, a in arrays.items()}
 
-    # -- parameter construction -------------------------------------------
-
-    def _add(self, name: str, value: np.ndarray) -> None:
-        self._params[name] = Tensor(value, requires_grad=True)
-
-    def _add_conv3x3(self, rng, name: str, c_in: int, c_out: int, zero: bool = False) -> None:
-        if zero:
-            w = np.zeros((c_out, c_in, 3, 3))
-        else:
-            w = rng.normal(scale=1.0 / math.sqrt(9.0 * c_in), size=(c_out, c_in, 3, 3))
-        self._add(f"{name}.w", w)
-        self._add(f"{name}.b", np.zeros(c_out))
-
-    def _add_dw3x3(self, rng, name: str, c: int) -> None:
-        self._add(f"{name}.w", rng.normal(scale=1.0 / 3.0, size=(c, 3, 3)))
-        self._add(f"{name}.b", np.zeros(c))
-
-    def _add_pw(self, rng, name: str, c_in: int, c_out: int) -> None:
-        self._add(f"{name}.w", rng.normal(scale=1.0 / math.sqrt(c_in), size=(c_out, c_in)))
-        self._add(f"{name}.b", np.zeros(c_out))
-
-    def _add_ln(self, name: str, c: int) -> None:
-        self._add(f"{name}.g", np.ones(c))
-        self._add(f"{name}.b", np.zeros(c))
-
-    def _add_group(self, rng, prefix: str, blocks: int, c: int) -> None:
-        for j in range(blocks):
-            base = f"{prefix}.b{j}"
-            self._add_pw(rng, f"{base}.fuse", (j + 1) * c, c)
-            self._add_ln(f"{base}.ln1", c)
-            for head in ("q", "k", "v", "o"):
-                self._add_pw(rng, f"{base}.attn.{head}", c, c)
-            self._add_ln(f"{base}.ln2", c)
-            self._add_pw(rng, f"{base}.ffn.w1", c, FFN_EXPANSION * c)
-            self._add_pw(rng, f"{base}.ffn.w2", FFN_EXPANSION * c, c)
+    @classmethod
+    def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "RestorationNet":
+        """Frozen net for `cfg` holding float64 copies of `arrays`, in layout
+        order; draws no random numbers. Names and shapes must match the
+        layout (`opt.`/`aux.` extras are ignored)."""
+        shapes = {spec.name: spec.shape for spec in param_layout(cfg)}
+        missing = set(shapes) - set(arrays)
+        extra = {k for k in set(arrays) - set(shapes) if not k.startswith(("opt.", "aux."))}
+        if missing or extra:
+            raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
+        state = {}
+        for name, shape in shapes.items():
+            arr = np.asarray(arrays[name], dtype=np.float64)
+            if arr.shape != shape:
+                raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+            state[name] = arr.copy()
+        return cls(cfg, state, requires_grad=False)
 
     # -- parameter access ---------------------------------------------------
 
@@ -152,17 +195,6 @@ class RestorationNet:
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self._params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        missing = set(self._params) - set(arrays)
-        extra = {k for k in set(arrays) - set(self._params) if not k.startswith(("opt.", "aux."))}
-        if missing or extra:
-            raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
-        for name, p in self._params.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != p.shape:
-                raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {p.shape}")
-            p.data = arr.copy()
 
     # -- forward helpers ----------------------------------------------------
 
@@ -254,8 +286,10 @@ class RestorationNet:
 
 
 def build_net(cfg: ModelConfig, seed: int) -> RestorationNet:
-    """Deterministically initialized net for (cfg, seed)."""
-    return RestorationNet(cfg, seed)
+    """Deterministically initialized, trainable net for (cfg, seed)."""
+    rng = rng_for(seed, "net-init")
+    return RestorationNet(cfg, {spec.name: _initial_value(spec, rng) for spec in param_layout(cfg)},
+                          requires_grad=True)
 
 
 def feature_tap_count(cfg: ModelConfig) -> int:

@@ -262,21 +262,13 @@ def _tap_channels(cfg: ModelConfig) -> list[int]:
 
 
 def load_net(ckpt: Checkpoint) -> RestorationNet:
-    """Rebuild the checkpointed net; parameters come from the 'net.' tensors."""
+    """The checkpointed net, frozen; parameters come from the 'net.' tensors."""
     model = ckpt.meta.get("model") if isinstance(ckpt.meta, dict) else None
     if not isinstance(model, dict):
         raise CheckpointFormatError("checkpoint meta has no 'model' section")
-    cfg = ModelConfig.from_dict(model)
-    net = build_net(cfg, 0)
     state = {name[len("net."):]: arr for name, arr in ckpt.tensors.items()
              if name.startswith("net.")}
-    net.load_state(state)
-    return net
-
-
-def _set_frozen(net: RestorationNet) -> None:
-    for p in net.params().values():
-        p.requires_grad = False
+    return RestorationNet.from_state(ModelConfig.from_dict(model), state)
 
 
 def distill(run: RunConfig, teacher_ckpt: Checkpoint,
@@ -286,7 +278,6 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
     if run.student_model is None:
         raise ConfigError("distillation needs a student_model section")
     teacher = load_net(teacher_ckpt)
-    _set_frozen(teacher)
     # validates level counts and per-knob compression
     compress_config(teacher.cfg, run.student_model.level_layers,
                     run.student_model.base_channels)
@@ -364,7 +355,6 @@ def evaluate(ckpt: Checkpoint, samples: list[Sample]) -> dict:
     if not samples:
         raise ConfigError("evaluate needs at least one sample")
     net = load_net(ckpt)
-    _set_frozen(net)
     psnr_scores = []
     ssim_scores = []
     for s in samples:

@@ -1,5 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skdistill.checkpoint import (
     Checkpoint,
@@ -12,9 +16,11 @@ from skdistill.errors import (
     CheckpointFormatError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    SkdError,
 )
 from skdistill.models import ModelConfig, build_net
 from skdistill.seeding import rng_for
+from skdistill.trainer import load_net
 
 
 def sample_checkpoint():
@@ -67,6 +73,14 @@ class TestRoundtrip:
         back = load_checkpoint(tmp_path / "n.skdc")
         for name, arr in net.state_arrays().items():
             assert back.tensors[f"net.{name}"].tobytes() == arr.tobytes()
+
+    def test_tensors_do_not_alias_the_blob(self):
+        blob = bytearray(checkpoint_to_bytes(sample_checkpoint()))
+        back = checkpoint_from_bytes(blob)
+        blob[:] = bytes(len(blob))
+        for name, arr in sample_checkpoint().tensors.items():
+            assert back.tensors[name].tobytes() == arr.tobytes()
+            assert back.tensors[name].flags.writeable
 
     def test_serialization_is_deterministic(self):
         a = checkpoint_to_bytes(sample_checkpoint())
@@ -121,3 +135,104 @@ class TestErrors:
         path.write_bytes(b"SKDC" + b"\x01\x00\x00\x00" + b"\x01")
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
+
+
+def raw_blob(rng=b"{}", meta=b"{}", tensors=()):
+    """A checkpoint assembled by hand, so layouts the writer never makes
+    can be tried; `tensors` holds (name, dims, payload bytes)."""
+    parts = [b"SKDC", struct.pack("<IQ", 1, 0),
+             struct.pack("<I", len(rng)), rng, struct.pack("<I", len(meta)), meta,
+             struct.pack("<I", len(tensors))]
+    for name, dims, payload in tensors:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<BB", 0, len(dims)),
+                  struct.pack(f"<{len(dims)}I", *dims), payload]
+    return b"".join(parts)
+
+
+class TestStructuralErrors:
+    def test_raw_blob_matches_the_writer(self):
+        ckpt = Checkpoint(step=0, tensors={"x": np.array([1.0, 2.0])})
+        assert raw_blob(tensors=[(b"x", (2,), np.array([1.0, 2.0]).tobytes())]) == \
+            checkpoint_to_bytes(ckpt)
+
+    def test_duplicate_tensor_name(self):
+        x = (b"x", (1,), struct.pack("<d", 1.0))
+        blob = raw_blob(tensors=[x, x])
+        second_name_at = len(raw_blob(tensors=[x])) + 4
+        with pytest.raises(CheckpointFormatError,
+                           match=f"duplicate tensor 'x' at offset {second_name_at}"):
+            checkpoint_from_bytes(blob)
+
+    @pytest.mark.parametrize("rng", [b"5", b"[]", b'"x"', b"null"])
+    def test_rng_block_must_be_an_object(self, rng):
+        with pytest.raises(CheckpointFormatError, match="RNG state at offset 20"):
+            checkpoint_from_bytes(raw_blob(rng=rng))
+
+    @pytest.mark.parametrize("meta", [b"[]", b"1.5", b"true"])
+    def test_meta_block_must_be_an_object(self, meta):
+        with pytest.raises(CheckpointFormatError, match="metadata at offset 26"):
+            checkpoint_from_bytes(raw_blob(meta=meta))
+
+    def test_deeply_nested_json(self):
+        with pytest.raises(CheckpointFormatError, match="bad RNG state JSON at offset 20"):
+            checkpoint_from_bytes(raw_blob(rng=b"[" * 100_000))
+
+    @pytest.mark.parametrize("dims", [(2**32 - 1,) * 8, (2**16,) * 4, (2**31, 2**31, 4)])
+    def test_element_count_past_int64_is_truncation(self, dims):
+        # dims whose product wraps a 64-bit integer must not shrink the payload
+        with pytest.raises(CheckpointTruncatedError, match="offset"):
+            checkpoint_from_bytes(raw_blob(tensors=[(b"x", dims, b"")]))
+
+    @pytest.mark.parametrize("dims, payload", [
+        ((0, 2**32 - 1, 2**32 - 1, 2**32 - 1), b""),
+        ((1,) * 70, struct.pack("<d", 1.0)),
+    ])
+    def test_dims_numpy_cannot_shape(self, dims, payload):
+        with pytest.raises(CheckpointFormatError, match="bad dims for tensor 'x' at offset 39"):
+            checkpoint_from_bytes(raw_blob(tensors=[(b"x", dims, payload)]))
+
+
+def net_blob():
+    net = build_net(ModelConfig([1, 1], 4, 4, 1), 5)
+    return checkpoint_to_bytes(Checkpoint(
+        step=3, meta={"kind": "teacher", "model": net.cfg.to_dict()},
+        tensors={f"net.{k}": v for k, v in net.state_arrays().items()}))
+
+
+NET_BLOB = net_blob()
+
+
+def decode_and_load(blob):
+    """Decode, then rebuild the net when there is one; anything but an
+    SkdError escapes to fail the test."""
+    try:
+        ckpt = checkpoint_from_bytes(blob)
+    except SkdError:
+        return
+    try:
+        load_net(ckpt)
+    except SkdError:
+        pass
+
+
+class TestDecoderFuzz:
+    def test_valid_blob_loads(self):
+        assert load_net(checkpoint_from_bytes(NET_BLOB)).param_count() > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=200) | st.binary(max_size=60).map(lambda b: b"SKDC\x01\0\0\0" + b))
+    def test_random_bytes(self, blob):
+        decode_and_load(blob)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, len(NET_BLOB) - 1))
+    def test_truncations(self, cut):
+        with pytest.raises(CheckpointTruncatedError):
+            checkpoint_from_bytes(NET_BLOB[:cut])
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, len(NET_BLOB) - 1), st.integers(1, 255))
+    def test_single_byte_flips(self, at, mask):
+        blob = bytearray(NET_BLOB)
+        blob[at] ^= mask
+        decode_and_load(bytes(blob))

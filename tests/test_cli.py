@@ -169,6 +169,12 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert "model.base_channels" in capsys.readouterr().err
 
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"train": {"loss": {"tau": NaN}}}')
+        assert main(["count", "--config", str(path)]) == 1
+        assert "train.loss.tau must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["count", "channels"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
         data, ckpt = dataset

@@ -121,6 +121,24 @@ class TestTypedReader:
         with pytest.raises(ConfigError, match=re.escape(path)):
             RunConfig.from_dict(blob)
 
+    @pytest.mark.parametrize("blob, path", [
+        ({"train": {"loss": {"tau": float("nan")}}}, "train.loss.tau"),
+        ({"train": {"loss": {"sigma": float("inf")}}}, "train.loss.sigma"),
+        ({"train": {"lr_max": float("inf")}}, "train.lr_max"),
+        ({"train": {"lr_min": float("-inf")}}, "train.lr_min"),
+        ({"data": {"noise_sigma": float("nan")}}, "data.noise_sigma"),
+    ])
+    def test_non_finite_float_names_the_field(self, blob, path):
+        with pytest.raises(ConfigError, match=re.escape(path) + " must be finite"):
+            RunConfig.from_dict(blob)
+
+    def test_json_non_finite_literals_rejected(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text('{"train": {"loss": {"tau": NaN, "sigma": Infinity}, '
+                        '"lr_max": Infinity}, "data": {"noise_sigma": NaN}}')
+        with pytest.raises(ConfigError, match="must be finite"):
+            load_run_config(path)
+
     def test_int_accepted_where_float_declared(self):
         run = RunConfig.from_dict({"train": {"lr_max": 1, "loss": {"lambda_value": 2}}})
         assert run.train.lr_max == 1

@@ -1,10 +1,15 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from skdistill import tensor as T
+from skdistill.config import load_run_config
 from skdistill.errors import ConfigError, ShapeError
 from skdistill.models import (
     ModelConfig,
+    RestorationNet,
     build_net,
     compress_config,
     count_params_flops,
@@ -18,6 +23,17 @@ def small_cfg(**kw):
     defaults = dict(level_layers=[1, 1], base_channels=4, unified_dim=4, input_channels=1)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def param_digest(net):
+    h = hashlib.sha256()
+    for name, p in net.params().items():
+        h.update(name.encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
 
 
 class TestModelConfig:
@@ -93,19 +109,48 @@ class TestBuildNet:
         assert out.shape == (1, 8, 8)
         assert len(feats) == 1
 
-    def test_load_state_roundtrip(self):
-        cfg = small_cfg()
-        a, b = build_net(cfg, 0), build_net(cfg, 1)
-        b.load_state(a.state_arrays())
-        for name in a.params():
-            assert b.params()[name].data.tobytes() == a.params()[name].data.tobytes()
+    def test_from_state_roundtrip(self):
+        net = build_net(small_cfg(), 2)
+        arrays = dict(reversed(list(net.state_arrays().items())))
+        loaded = RestorationNet.from_state(net.cfg, arrays)
+        assert list(loaded.params()) == list(net.params())
+        assert param_digest(loaded) == param_digest(net)
+        for name, p in loaded.params().items():
+            assert not p.requires_grad
+            assert not np.shares_memory(p.data, arrays[name])
 
-    def test_load_state_mismatch(self):
-        a = build_net(small_cfg(), 0)
-        state = a.state_arrays()
-        state.pop("embed.w")
-        with pytest.raises(ConfigError):
-            build_net(small_cfg(), 0).load_state(state)
+    def test_from_state_mismatch(self):
+        net = build_net(small_cfg(), 0)
+        edits = [
+            (lambda s: s.pop("lat.b0.ln1.g"), "missing=\\['lat.b0.ln1.g'\\]"),
+            (lambda s: s.update(stray=np.zeros(1)), "extra=\\['stray'\\]"),
+            (lambda s: s.update({"embed.b": np.zeros(5)}), "embed.b has shape \\(5,\\)"),
+        ]
+        for edit, message in edits:
+            state = dict(net.state_arrays())
+            edit(state)
+            with pytest.raises(ConfigError, match=message):
+                RestorationNet.from_state(net.cfg, state)
+
+    # sha256 over (name, bytes) in parameter order, as `build_net` drew them
+    # before the layout was split from the initialisation
+    @pytest.mark.parametrize("config, section, seed, digest", [
+        ("denoise32.json", "model", 0,
+         "4083131a9a5c791d104b070b2f7f565488d92cf26592c3cab71ee2bd350b48a6"),
+        ("denoise32.json", "model", 3,
+         "18a3ee3f892e87fe7976eb6531ed49458d40109d2b7adb224e27ad31f3fe1110"),
+        ("denoise32.json", "student_model", 0,
+         "77736c5d6f11818a9e30aa025c7c0ed49c7ebae3473de2b2e2d88416f435bd67"),
+        ("denoise32.json", "student_model", 3,
+         "5dbec0d09d6410802c5449d493ad14783d92b7821be72f867f8c8c7f44a8af76"),
+        ("student_restormer_shaped.json", "model", 0,
+         "164304c59b2b47b45e68c17cdb468c36dc61d7fac3138ac828402a140d0054b0"),
+        ("student_restormer_shaped.json", "model", 3,
+         "3d7ce706c70f327426c7f6acbf9a27bc98a5eed5277b0131e56305d63eab1891"),
+    ])
+    def test_build_net_digest_is_pinned(self, config, section, seed, digest):
+        cfg = getattr(load_run_config(CONFIGS / config), section)
+        assert param_digest(build_net(cfg, seed)) == digest
 
 
 class TestForward:

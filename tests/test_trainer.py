@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,45 @@ def test_heldout_block_is_disjoint_and_sized():
 def test_load_net_needs_model_meta(meta):
     with pytest.raises(CheckpointFormatError, match="model"):
         load_net(Checkpoint(meta=meta))
+
+
+class TestLoadNet:
+    def _ckpt(self):
+        run = tiny_run()
+        net = build_net(run.model, 4)
+        tensors = {f"opt.m.net.{k}": np.zeros_like(v) for k, v in net.state_arrays().items()}
+        # checkpoint order differs from the layout order on purpose
+        tensors.update({f"net.{k}": v for k, v in reversed(net.state_arrays().items())})
+        return net, Checkpoint(step=2, meta={"model": run.model.to_dict()}, tensors=tensors)
+
+    def test_equals_checkpoint_in_layout_order(self):
+        net, ckpt = self._ckpt()
+        loaded = load_net(ckpt)
+        assert list(loaded.params()) == list(net.params())
+        for name, p in loaded.params().items():
+            stored = ckpt.tensors[f"net.{name}"]
+            assert p.data.tobytes() == stored.tobytes() and p.shape == stored.shape
+            assert not np.shares_memory(p.data, stored)
+            assert not p.requires_grad
+
+    def test_non_finite_parameter_is_refused(self):
+        _, ckpt = self._ckpt()
+        ckpt.tensors["net.embed.b"] = np.full_like(ckpt.tensors["net.embed.b"], np.nan)
+        with pytest.raises(NonFiniteError):
+            load_net(ckpt)
+
+    def test_load_and_evaluate_draw_no_random_numbers(self, monkeypatch):
+        _, ckpt = self._ckpt()
+        samples, _ = make_train_heldout(tiny_run())
+        expected = evaluate(ckpt, samples)
+
+        def no_draws(*args):
+            raise AssertionError(f"rng_for{args} called")
+
+        patched = [m for name, m in sys.modules.items()
+                   if name.split(".")[0] == "skdistill" and hasattr(m, "rng_for")]
+        assert len(patched) > 2
+        for module in patched:
+            monkeypatch.setattr(module, "rng_for", no_draws)
+        load_net(ckpt)
+        assert evaluate(ckpt, samples) == expected
