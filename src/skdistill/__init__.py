@@ -44,11 +44,11 @@ from .models import (
     count_params_flops,
     reduction_percentages,
 )
-from .tensor import Tensor, count_macs, gradcheck, set_nan_checks
+from .tensor import Tensor, count_macs, gradcheck
 from .trainer import adam_step, cosine_lr, distill, evaluate, train_teacher
 
 __all__ = [
-    "Tensor", "count_macs", "gradcheck", "set_nan_checks",
+    "Tensor", "count_macs", "gradcheck",
     "FeatureMap", "LambdaPolicy", "Projector", "project", "make_projector",
     "channel_cross_attention", "spatial_cross_attention", "cross_net_features",
     "LossWeights", "PhiExtractor", "gaussian_kernel_distance", "gk_feature_loss",

@@ -192,9 +192,9 @@ def make_samples(spec: CorpusSpec, *, first_index: int = 0,
 
 
 def normalize(img: np.ndarray) -> np.ndarray:
-    """[0, 1] -> [-1, 1] via 2x - 1."""
+    """[0, 1] -> [-1, 1] via 2x - 1; NaN is out of range."""
     img = np.asarray(img, dtype=np.float64)
-    if img.min() < 0.0 or img.max() > 1.0:
+    if not (img.min() >= 0.0 and img.max() <= 1.0):
         raise RangeError(f"normalize expects [0,1], got [{img.min()}, {img.max()}]")
     return 2.0 * img - 1.0
 
@@ -251,8 +251,10 @@ def read_image(path: str | Path) -> np.ndarray:
     magic = fields[0]
     if magic not in (b"P5", b"P6"):
         raise ConfigError(f"unsupported image magic {magic!r}")
-    if not all(f.isdigit() for f in fields[1:]):
-        raise ConfigError(f"image header fields must be decimal integers, got {fields[1:]!r}")
+    # the digit bound also keeps int() under Python's int-string length limit
+    if not all(f.isdigit() and len(f) <= 9 for f in fields[1:]):
+        raise ConfigError("image header fields must be decimal integers of at most 9 digits, "
+                          f"got {[f[:12] for f in fields[1:]]!r}")
     w, h, maxval = (int(f) for f in fields[1:])
     if w < 1 or h < 1:
         raise ConfigError(f"image extents must be >= 1, got {w}x{h}")

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import RangeError, ShapeError
+from .errors import NonFiniteError, RangeError, ShapeError
 
 PSNR_CAP_DB = 100.0
 SSIM_WINDOW = 11
@@ -24,6 +24,8 @@ def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ShapeError(f"metric inputs differ in shape: {a.shape} vs {b.shape}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NonFiniteError("metric inputs hold NaN or Inf")
     return a, b
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .attention import FeatureMap
 from .configdict import DictConfig
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NonFiniteError, ShapeError
 from .seeding import rng_for
 from .tensor import Tensor
 
@@ -171,7 +171,7 @@ class RestorationNet:
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "RestorationNet":
         """Frozen net for `cfg` holding float64 copies of `arrays`, in layout
         order; draws no random numbers. Names and shapes must match the
-        layout (`opt.`/`aux.` extras are ignored)."""
+        layout (`opt.`/`aux.` extras are ignored) and values must be finite."""
         shapes = {spec.name: spec.shape for spec in param_layout(cfg)}
         missing = set(shapes) - set(arrays)
         extra = {k for k in set(arrays) - set(shapes) if not k.startswith(("opt.", "aux."))}
@@ -182,6 +182,8 @@ class RestorationNet:
             arr = np.asarray(arrays[name], dtype=np.float64)
             if arr.shape != shape:
                 raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"parameter {name} holds NaN or Inf")
             state[name] = arr.copy()
         return cls(cfg, state, requires_grad=False)
 

@@ -8,6 +8,9 @@ exact reverse creation order, which keeps runs bitwise reproducible.
 Multiply-accumulate counts (for the complexity accounting) are recorded
 only by `matmul`, `linear`, `spatial_attend` and the two convolution ops,
 under the convention 1 MAC = 2 FLOPs.
+
+Ops do not check their values: NaN and Inf propagate, and finiteness is
+checked where data enters the package and where results leave it.
 """
 
 from __future__ import annotations
@@ -23,18 +26,9 @@ from scipy.special import erf
 from .errors import NonFiniteError, RangeError, ShapeError
 
 _ids = itertools.count()
-_nan_checks = True
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def set_nan_checks(enabled: bool) -> bool:
-    """Toggle the per-op finiteness scan; returns the previous setting."""
-    global _nan_checks
-    previous = _nan_checks
-    _nan_checks = bool(enabled)
-    return previous
 
 
 class MacCounter:
@@ -75,10 +69,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, parents: tuple = (),
                  op: str = "leaf", backward: Callable | None = None):
-        arr = np.asarray(data, dtype=np.float64)
-        if _nan_checks and not np.all(np.isfinite(arr)):
-            raise NonFiniteError(f"non-finite values produced by op '{op}'")
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.op = op
@@ -691,7 +682,8 @@ def upsample2x_nearest(x) -> Tensor:
 def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> float:
     """Compare the analytic gradient of a scalar-valued `f` against central
     finite differences at `x0`; returns the max elementwise relative error
-    with denominator max(|analytic|, |numeric|, 1e-8)."""
+    with denominator max(|analytic|, |numeric|, 1e-8), or inf when either
+    gradient has a non-finite entry."""
     if not 1e-6 <= eps <= 1e-3:
         raise RangeError(f"gradcheck eps must lie in [1e-6, 1e-3], got {eps}")
     base = np.array(x0.data, dtype=np.float64, copy=True)
@@ -718,5 +710,7 @@ def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> f
         minus = value_at(base)
         flat[i] = saved
         num_flat[i] = (plus - minus) / (2.0 * eps)
+    if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
+        return math.inf
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))

@@ -110,8 +110,11 @@ def _mean_loss(parts: list[Tensor]) -> Tensor:
 
 def _restore(net: RestorationNet, sample: Sample) -> np.ndarray:
     """The net's restoration of one degraded sample, clipped to [0, 1]."""
-    out = net.forward(Tensor(normalize(sample.degraded)))
-    return np.clip(denormalize(out.data), 0.0, 1.0)
+    out = net.forward(Tensor(normalize(sample.degraded))).data
+    # checked before the clip, which would turn inf into 1.0
+    if not np.isfinite(out).all():
+        raise NonFiniteError("the net's output holds NaN or Inf")
+    return np.clip(denormalize(out), 0.0, 1.0)
 
 
 def _restoration_psnr(net: RestorationNet, samples: list[Sample]) -> dict:
@@ -179,51 +182,45 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
     ema = _EmaTracker()
     step = 0
     aborted = False
-    # the hot loop drops the per-op finiteness scan; divergence is still
-    # caught by the per-step loss check and adam's gradient validation
-    scan_was_on = T.set_nan_checks(False)
-    try:
-        for epoch in range(cfg.epochs):
-            if aborted:
+    for epoch in range(cfg.epochs):
+        if aborted:
+            break
+        for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
+                                       cfg.seed, epoch):
+            lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
+            # drop the last step's graph (it hangs off `loss` alone) before
+            # this forward, not when the forward's result rebinds the name.
+            # Here, after adam_step, measured fewer page faults per teacher
+            # step than right after backward.
+            loss = None
+            batch = [train_samples[i] for i in batch_ids]
+            try:
+                loss, components = loss_fn(batch)
+                loss_value = loss.item()
+                if not math.isfinite(loss_value):
+                    raise NonFiniteError(f"non-finite loss at step {step}")
+                loss.backward(leaves=params)
+                grads = [p.grad for p in params]
+                adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
+                          cfg.adam_eps)
+            except NonFiniteError:
+                # abort with the last good parameters (the failed update
+                # was either not applied or rejected by adam_step)
+                aborted = True
                 break
-            for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
-                                           cfg.seed, epoch):
-                lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
-                # drop the last step's graph (it hangs off `loss` alone) before
-                # this forward, not when the forward's result rebinds the name.
-                # Here, after adam_step, measured fewer page faults per teacher
-                # step than right after backward.
-                loss = None
-                batch = [train_samples[i] for i in batch_ids]
-                try:
-                    loss, components = loss_fn(batch)
-                    loss_value = loss.item()
-                    if not math.isfinite(loss_value):
-                        raise NonFiniteError(f"non-finite loss at step {step}")
-                    loss.backward(leaves=params)
-                    grads = [p.grad for p in params]
-                    adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
-                              cfg.adam_eps)
-                except NonFiniteError:
-                    # abort with the last good parameters (the failed update
-                    # was either not applied or rejected by adam_step)
-                    aborted = True
-                    break
-                step += 1
-                record = {"step": step, "lr": lr, "loss": loss_value,
-                          "ema": ema.update(loss_value)}
-                record.update(components)
-                history.append(record)
-                if step % cfg.eval_interval == 0 and heldout:
-                    entry = {"step": step}
-                    entry.update(_restoration_psnr(net, heldout))
-                    eval_history.append(entry)
-        if heldout and (not eval_history or eval_history[-1]["step"] != step):
-            entry = {"step": step}
-            entry.update(_restoration_psnr(net, heldout))
-            eval_history.append(entry)
-    finally:
-        T.set_nan_checks(scan_was_on)
+            step += 1
+            record = {"step": step, "lr": lr, "loss": loss_value,
+                      "ema": ema.update(loss_value)}
+            record.update(components)
+            history.append(record)
+            if step % cfg.eval_interval == 0 and heldout:
+                entry = {"step": step}
+                entry.update(_restoration_psnr(net, heldout))
+                eval_history.append(entry)
+    if heldout and (not eval_history or eval_history[-1]["step"] != step):
+        entry = {"step": step}
+        entry.update(_restoration_psnr(net, heldout))
+        eval_history.append(entry)
     ckpt = _finalize(net, extra_params, run, kind, state, names, step, aborted)
     return TrainResult(checkpoint=ckpt, history=history,
                        eval_history=eval_history, aborted=aborted)

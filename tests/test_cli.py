@@ -4,14 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from skdistill import cli
+from skdistill import cli, gradsuite, tensor as T
 from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from skdistill.cli import EXIT_ABORTED, main
 from skdistill.config import RunConfig, TrainConfig, save_run_config
 from skdistill.data import CorpusSpec
-from skdistill.models import ModelConfig
+from skdistill.models import ModelConfig, build_net
 from skdistill.trainer import TrainResult
 
 
@@ -205,11 +206,38 @@ class TestBoundaryErrors:
         assert code == 1
         assert "model" in err
 
+    # NaN is refused on load; 1e308 in the last layer overflows the output
+    @pytest.mark.parametrize("name,value,match", [("embed.b", np.nan, "embed.b"),
+                                                  ("final.w", 1e308, "output")])
+    def test_non_finite_checkpoint(self, tiny_run, dataset, tmp_path, capsys,
+                                   name, value, match):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+        tensors[f"net.{name}"].flat[0] = value
+        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and match in err
+        assert "Traceback" not in err
+
 
 def test_gradcheck_command_exit_zero(capsys):
     assert main(["gradcheck", "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert "trials" in out
+
+
+def test_gradcheck_command_fails_on_non_finite_gradient(monkeypatch, capsys):
+    # finite at x0, NaN numeric gradient: x0 - eps leaves log's domain
+    def suite(seed):
+        return [gradsuite._run("log near zero", 1, None,
+                               lambda r: (lambda x: T.sum_(T.log(x)), T.Tensor([5e-6])))]
+    monkeypatch.setattr(cli, "run_gradcheck_suite", suite)
+    with np.errstate(invalid="ignore"):
+        assert main(["gradcheck"]) == 1
+    assert "FAIL log near zero" in capsys.readouterr().out
 
 
 def test_module_entry_point():

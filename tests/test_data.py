@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skdistill.data import (
     CorpusSpec,
@@ -13,7 +15,7 @@ from skdistill.data import (
     read_image,
     write_image,
 )
-from skdistill.errors import ConfigError, RangeError, ShapeError
+from skdistill.errors import ConfigError, RangeError, ShapeError, SkdError
 from skdistill.metrics import psnr
 
 
@@ -114,8 +116,10 @@ class TestNormalize:
             assert z.min() >= -1.0 and z.max() <= 1.0
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(RangeError):
-            normalize(np.array([1.5]))
+        # NaN fails every comparison, so it must not slip past as in range
+        for bad in ([1.5], [-0.5], [[[np.nan, 0.5]]], [0.5, np.nan]):
+            with pytest.raises(RangeError):
+                normalize(np.array(bad))
 
 
 class TestBatching:
@@ -175,12 +179,54 @@ class TestImageIo:
 
     @pytest.mark.parametrize("blob", [b"", b"P5", b"P5\n4 4", b"P5\n4 4\n# no maxval\n",
                                       b"P5\n4 x\n255\n", b"P5\n-4 4\n255\n",
-                                      b"P6\n0 4\n255\n", b"P5\n4 4\n\xff\xfe\n"])
+                                      b"P6\n0 4\n255\n", b"P5\n4 4\n\xff\xfe\n",
+                                      b"P5\n" + b"1" * 4301 + b" 4\n255\n"])
     def test_bad_header_rejected(self, tmp_path, blob):
         path = tmp_path / "bad.pgm"
         path.write_bytes(blob + bytes(64))
         with pytest.raises(ConfigError):
             read_image(path)
+
+
+_FIELD = (st.integers(0, 300).map(lambda n: str(n).encode())
+          | st.sampled_from([b"-3", b"P2", b"P5", b"0x10"])
+          # digit runs either side of int64 and of CPython's int-string limit
+          | st.sampled_from([19, 20, 4300, 4301]).map(lambda n: b"1" * n)
+          | st.binary(max_size=4))
+_SEP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"\n# note\n"])
+_BAD_SEP = st.sampled_from([b"", b"#", b"\x00"])
+
+
+@st.composite
+def _pnm_bytes(draw):
+    """A PGM/PPM header with at most one field or separator replaced by an
+    arbitrary one, and a payload near the size the header declares."""
+    magic = draw(st.sampled_from([b"P5", b"P6"]))
+    w, h = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    fields = [magic, str(w).encode(), str(h).encode(), b"255"]
+    seps = draw(st.lists(_SEP, min_size=4, max_size=4))
+    replaced = draw(st.integers(0, 8))
+    if replaced < 4:
+        fields[replaced] = draw(_FIELD)
+    elif replaced < 8:
+        seps[replaced - 4] = draw(_BAD_SEP)
+    size = w * h * (3 if magic == b"P6" else 1)
+    payload = draw(st.binary(min_size=max(0, size - 2), max_size=size + 2))
+    return b"".join(f + s for f, s in zip(fields, seps)) + payload
+
+
+class TestReadImageFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=300) | _pnm_bytes())
+    def test_random_bytes(self, tmp_path_factory, blob):
+        path = tmp_path_factory.getbasetemp() / "fuzz.pgm"
+        path.write_bytes(blob)
+        try:
+            img = read_image(path)
+        except SkdError:
+            return
+        assert img.dtype == np.float64 and img.ndim == 3 and img.shape[0] in (1, 3)
+        assert np.isfinite(img).all() and img.min() >= 0.0 and img.max() <= 1.0
 
 
 def test_samples_are_deterministic_and_tagged():

@@ -273,12 +273,8 @@ class TestTotalLoss:
         assert total_loss(0.0, 2.0 * g, 0.0, w).item() == 2.0 * (0.25 * g)
 
     def test_non_finite_rejected(self):
-        prev = T.set_nan_checks(False)
-        try:
-            with pytest.raises(NonFiniteError):
-                total_loss(float("nan"), 0.0, 0.0, LossWeights())
-        finally:
-            T.set_nan_checks(prev)
+        with pytest.raises(NonFiniteError):
+            total_loss(float("nan"), 0.0, 0.0, LossWeights())
 
 
 class TestPhiExtractor:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skdistill.errors import RangeError, ShapeError
+from skdistill.errors import NonFiniteError, RangeError, ShapeError
 from skdistill.metrics import gaussian_window, psnr, ssim
 
 from oracles import brute_force_ssim_window
@@ -102,3 +102,13 @@ class TestSsim:
     def test_too_small_image(self):
         with pytest.raises(ShapeError):
             ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
+
+
+@pytest.mark.parametrize("metric", [psnr, ssim])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_finite_input_is_refused(metric, bad, side):
+    pair = [np.zeros((1, 16, 16)), np.zeros((1, 16, 16))]
+    pair[side][0, 3, 5] = bad
+    with pytest.raises(NonFiniteError):
+        metric(*pair)

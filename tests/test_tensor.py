@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skdistill.errors import NonFiniteError, RangeError, ShapeError
-from skdistill import tensor as T
-from skdistill.losses import gaussian_kernel_distance
+from skdistill import gradsuite, tensor as T
+from skdistill.losses import LossWeights, gaussian_kernel_distance, total_loss
 from skdistill.tensor import Tensor
+from skdistill.trainer import AdamState, adam_step
 
 
 def rng(seed=0):
@@ -120,6 +121,17 @@ class TestGradcheck:
         with pytest.raises(NonFiniteError):
             T.gradcheck(lambda x: T.log(T.sum_(x)), Tensor([-1.0]), eps=1e-5)
 
+    def test_non_finite_gradient_fails_the_trial(self):
+        # f is finite at x0, but x0 - eps leaves log's domain: the numeric
+        # gradient is NaN, which max() would otherwise drop as 0
+        def log_near_zero(r):
+            return lambda x: T.sum_(T.log(x)), Tensor([5e-6])
+        with np.errstate(invalid="ignore"):
+            assert T.gradcheck(*log_near_zero(None), eps=1e-5) == math.inf
+            result = gradsuite._run("log near zero", 2, rng(), log_near_zero)
+        assert result.max_rel_err == math.inf
+        assert not result.passed()
+
     @pytest.mark.parametrize("op,make", [
         ("exp", lambda x: T.sum_(T.exp(x))),
         ("gelu", lambda x: T.sum_(T.gelu(x))),
@@ -194,18 +206,28 @@ class TestGraphRelease:
                 gc.enable()
 
 
-class TestNanPolicy:
-    def test_overflow_raises(self):
-        with pytest.raises(NonFiniteError):
-            T.exp(Tensor([1000.0]))
+def _overflow() -> Tensor:
+    with np.errstate(over="ignore"):
+        return T.exp(Tensor([1000.0]))
 
-    def test_scan_can_be_disabled(self):
-        prev = T.set_nan_checks(False)
-        try:
-            out = T.exp(Tensor([1000.0]))
-            assert np.isinf(out.data[0])
-        finally:
-            T.set_nan_checks(prev)
+
+class TestNanPolicy:
+    """Ops let NaN/Inf through; the boundaries where results leave refuse them
+    (metrics, restored images and loaded parameters are tested with their
+    modules)."""
+
+    def test_ops_propagate_non_finite(self):
+        out = _overflow()
+        assert np.isinf(out.data[0])
+
+    @pytest.mark.parametrize("boundary", [
+        lambda v: total_loss(T.sum_(v), 0.0, 0.0, LossWeights()),
+        lambda v: adam_step([Tensor([1.0])], [v.data], AdamState.for_params([v]), lr=1e-3),
+        lambda v: T.gradcheck(lambda x: T.sum_(T.mul(x, v)), Tensor([1.0])),
+    ], ids=["total_loss", "adam_step", "gradcheck"])
+    def test_overflow_is_refused_at_the_boundary(self, boundary):
+        with pytest.raises(NonFiniteError):
+            boundary(_overflow())
 
 
 class TestMacCounting:

@@ -1,8 +1,10 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 
+from skdistill import tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, checkpoint_to_bytes
 from skdistill.config import RunConfig, TrainConfig, config_hash
 from skdistill.data import CorpusSpec
@@ -126,20 +128,34 @@ class TestTeacherTraining:
         ev = res.eval_history[-1]
         assert ev["psnr_restored"] > ev["psnr_degraded"]
 
-    def test_divergence_aborts_with_last_good_state(self):
+    def test_divergence_aborts_with_last_good_state(self, monkeypatch):
         run = tiny_run(train=TrainConfig(epochs=4, batch_size=4, eval_interval=100, seed=2))
         samples, held = make_train_heldout(run)
-        # a poisoned sample makes some batch loss non-finite
-        samples[0].degraded = np.full_like(samples[0].degraded, np.nan)
+        real_loss = trainer.reconstruction_loss
+        calls = []
+
+        def diverging_loss(out, target):
+            # finite for the first two steps (4 samples each), then inf
+            calls.append(None)
+            loss = real_loss(out, target)
+            return T.mul(loss, math.inf) if len(calls) > 8 else loss
+
+        monkeypatch.setattr(trainer, "reconstruction_loss", diverging_loss)
         res = train_teacher(run, samples, held)
         assert res.aborted
         assert res.checkpoint.meta["aborted"] is True
-        total = run.train.epochs * (len(samples) // run.train.batch_size)
-        assert res.checkpoint.step < total
+        assert res.checkpoint.step == 2
         # network parameters are the last good ones (the failed step never applied)
         for name, arr in res.checkpoint.tensors.items():
             if name.startswith("net."):
                 assert np.all(np.isfinite(arr)), name
+
+    def test_nan_degraded_image_is_refused(self):
+        run = tiny_run()
+        samples, held = make_train_heldout(run)
+        samples[0].degraded = np.full_like(samples[0].degraded, np.nan)
+        with pytest.raises(RangeError, match="normalize"):
+            train_teacher(run, samples, held)
 
 
 class TestDistillation:
@@ -249,6 +265,19 @@ class TestEvaluate:
                            "config_hash"}
         assert r1["steps"] == res.checkpoint.step
         assert r1["config_hash"] == config_hash(run)
+
+    # a NaN parameter is refused on load; a finite one that overflows the
+    # forward to +inf is refused before the clip would turn it into 1.0
+    @pytest.mark.parametrize("name,value,match", [("embed.b", math.nan, "embed.b"),
+                                                  ("final.w", 1e308, "output")])
+    def test_non_finite_checkpoint_is_refused(self, name, value, match):
+        run = tiny_run()
+        ckpt = self._identity_ckpt(run)
+        ckpt.tensors[f"net.{name}"].flat[0] = value
+        samples, _ = make_train_heldout(run)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match=match):
+            evaluate(ckpt, samples)
 
 
 def test_heldout_block_is_disjoint_and_sized():
