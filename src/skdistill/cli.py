@@ -2,8 +2,8 @@
 
 Subcommands: synth, train-teacher, distill, eval, count, gradcheck.
 Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 training
-aborted on a non-finite loss (train-teacher and distill still write the
-last good parameters to --out, with `"aborted": true` in the meta).
+aborted on a non-finite value (train-teacher and distill still write the
+parameters to --out, with `"aborted": true` in the meta).
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def cmd_train_teacher(args) -> int:
     save_checkpoint(result.checkpoint, args.out)
     last = result.history[-1] if result.history else {}
     evals = result.eval_history[-1] if result.eval_history else {}
-    status = "aborted (non-finite loss)" if result.aborted else "done"
+    status = f"aborted ({result.abort_reason})" if result.aborted else "done"
     print(f"{status}: {result.checkpoint.step} steps, "
           f"loss {last.get('loss', float('nan')):.5f}, "
           f"heldout psnr {evals.get('psnr_restored', float('nan')):.2f} dB "
@@ -113,7 +113,7 @@ def cmd_distill(args) -> int:
     result = distill(run, teacher)
     save_checkpoint(result.checkpoint, args.out)
     last = result.history[-1] if result.history else {}
-    status = "aborted (non-finite loss)" if result.aborted else "done"
+    status = f"aborted ({result.abort_reason})" if result.aborted else "done"
     print(f"{status}: {result.checkpoint.step} steps, "
           f"loss {last.get('loss', float('nan')):.5f} "
           f"(rec {last.get('rec', float('nan')):.5f}, "

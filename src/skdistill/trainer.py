@@ -87,6 +87,7 @@ class TrainResult:
     history: list[dict] = field(default_factory=list)
     eval_history: list[dict] = field(default_factory=list)
     aborted: bool = False
+    abort_reason: str = ""
 
 
 def _heldout_count(n: int) -> int:
@@ -181,9 +182,9 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
     eval_history: list[dict] = []
     ema = _EmaTracker()
     step = 0
-    aborted = False
+    abort_reason = ""
     for epoch in range(cfg.epochs):
-        if aborted:
+        if abort_reason:
             break
         for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
                                        cfg.seed, epoch):
@@ -203,27 +204,22 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
                 grads = [p.grad for p in params]
                 adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
                           cfg.adam_eps)
-            except NonFiniteError:
-                # abort with the last good parameters (the failed update
-                # was either not applied or rejected by adam_step)
-                aborted = True
+                step += 1
+                record = {"step": step, "lr": lr, "loss": loss_value,
+                          "ema": ema.update(loss_value)}
+                record.update(components)
+                history.append(record)
+                # the last step is always scored; an aborted run never gets there
+                if heldout and (step % cfg.eval_interval == 0 or step == total_steps):
+                    eval_history.append({"step": step, **_restoration_psnr(net, heldout)})
+            except NonFiniteError as exc:
+                # abort with the parameters of the last step whose loss was
+                # finite (a failed update is not applied or adam_step rejects it)
+                abort_reason = str(exc)
                 break
-            step += 1
-            record = {"step": step, "lr": lr, "loss": loss_value,
-                      "ema": ema.update(loss_value)}
-            record.update(components)
-            history.append(record)
-            if step % cfg.eval_interval == 0 and heldout:
-                entry = {"step": step}
-                entry.update(_restoration_psnr(net, heldout))
-                eval_history.append(entry)
-    if heldout and (not eval_history or eval_history[-1]["step"] != step):
-        entry = {"step": step}
-        entry.update(_restoration_psnr(net, heldout))
-        eval_history.append(entry)
-    ckpt = _finalize(net, extra_params, run, kind, state, names, step, aborted)
-    return TrainResult(checkpoint=ckpt, history=history,
-                       eval_history=eval_history, aborted=aborted)
+    ckpt = _finalize(net, extra_params, run, kind, state, names, step, bool(abort_reason))
+    return TrainResult(checkpoint=ckpt, history=history, eval_history=eval_history,
+                       aborted=bool(abort_reason), abort_reason=abort_reason)
 
 
 def train_restoration(model_cfg: ModelConfig, run: RunConfig, role: str,

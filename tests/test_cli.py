@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skdistill import cli, gradsuite, tensor as T
+from skdistill import cli, gradsuite, tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from skdistill.cli import EXIT_ABORTED, main
 from skdistill.config import RunConfig, TrainConfig, save_run_config
@@ -128,6 +128,28 @@ class TestAbortExitCode:
             == EXIT_ABORTED
         assert load_checkpoint(out).step == 3
         assert capsys.readouterr().out.startswith("aborted")
+
+    def test_forward_overflow_writes_the_checkpoint(self, monkeypatch, tiny_run,
+                                                    tmp_path, capsys):
+        _, cfg_path = tiny_run
+        out = tmp_path / "teacher.skdc"
+        real_step = trainer.adam_step
+
+        def diverging_step(params, *args):
+            state = real_step(params, *args)
+            if state.t == 1:
+                # finite weights whose forward overflows at the next step
+                for p in params:
+                    p.data = p.data * 1e300
+            return state
+
+        monkeypatch.setattr(trainer, "adam_step", diverging_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train-teacher", "--config", str(cfg_path), "--out", str(out)])
+        assert code == EXIT_ABORTED
+        ckpt = load_checkpoint(out)
+        assert ckpt.step == 1 and ckpt.meta["aborted"] is True
+        assert capsys.readouterr().out.startswith("aborted (non-finite loss at step 1)")
 
     def test_distill_abort(self, aborting, tiny_run, tmp_path, capsys):
         _, cfg_path = tiny_run

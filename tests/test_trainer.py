@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -149,6 +150,47 @@ class TestTeacherTraining:
         for name, arr in res.checkpoint.tensors.items():
             if name.startswith("net."):
                 assert np.all(np.isfinite(arr)), name
+
+    def test_forward_overflow_aborts_with_checkpoint(self, monkeypatch):
+        run = tiny_run(train=TrainConfig(epochs=4, batch_size=4, eval_interval=100, seed=2))
+        samples, held = make_train_heldout(run)
+        real_step = trainer.adam_step
+
+        def diverging_step(params, *args):
+            state = real_step(params, *args)
+            if state.t == 2:
+                # step 2 lands on finite weights whose forward overflows
+                for p in params:
+                    p.data = p.data * 1e300
+            return state
+
+        monkeypatch.setattr(trainer, "adam_step", diverging_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train_teacher(run, samples, held)
+        assert res.aborted and res.checkpoint.meta["aborted"] is True
+        assert res.checkpoint.step == 2
+        assert res.abort_reason == "non-finite loss at step 2"
+        # the diverged parameters are not scored
+        assert res.eval_history == []
+
+    def test_heldout_overflow_aborts_with_checkpoint(self, monkeypatch):
+        run = tiny_run(train=TrainConfig(epochs=4, batch_size=4, eval_interval=3, seed=2))
+        samples, held = make_train_heldout(run)
+        real_restore = trainer._restore
+
+        def overflowing_restore(net, sample):
+            # only the held-out output overflows; the training loss stays finite
+            overflowed = SimpleNamespace(forward=lambda x: T.add(net.forward(x), math.inf))
+            return real_restore(overflowed, sample)
+
+        monkeypatch.setattr(trainer, "_restore", overflowing_restore)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = train_teacher(run, samples, held)
+        assert res.aborted and res.checkpoint.meta["aborted"] is True
+        assert res.checkpoint.step == 3
+        assert res.abort_reason == "the net's output holds NaN or Inf"
+        assert res.eval_history == []
+        assert len(res.history) == 3
 
     def test_nan_degraded_image_is_refused(self):
         run = tiny_run()
