@@ -66,7 +66,7 @@ def config_hash(run: RunConfig) -> str:
 def load_run_config(path: str | Path) -> RunConfig:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return RunConfig.from_dict(raw)
 

@@ -11,7 +11,9 @@ which keeps two runs of the same (config, seed) bitwise identical.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +25,7 @@ from .config import RunConfig, config_hash
 from .data import Sample, batch_indices, make_samples, normalize, denormalize
 from .errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from .losses import (
+    LossWeights,
     PhiExtractor,
     contrastive_loss_from_features,
     gk_feature_loss,
@@ -102,13 +105,6 @@ def make_train_heldout(run: RunConfig) -> tuple[list[Sample], list[Sample]]:
     return train, held
 
 
-def _mean_loss(parts: list[Tensor]) -> Tensor:
-    total = parts[0]
-    for p in parts[1:]:
-        total = T.add(total, p)
-    return T.mul(total, 1.0 / len(parts))
-
-
 def _restore(net: RestorationNet, sample: Sample) -> np.ndarray:
     """The net's restoration of one degraded sample, clipped to [0, 1]."""
     out = net.forward(Tensor(normalize(sample.degraded))).data
@@ -160,14 +156,57 @@ class _EmaTracker:
         return self.value
 
 
+def _batch_step(objective, batch: list[Sample], params: list[Tensor],
+                w: LossWeights, step: int) -> tuple[float, dict, list[np.ndarray]]:
+    """Loss, its components and the parameter gradients of one batch.
+
+    `objective(batch)` returns a function that builds one sample's terms
+    `(rec, gk, cl)`; an unused term is 0.0. Each sample runs forward and then
+    backward from its share of the batch objective, `total_loss` of its terms
+    times 1/B, and its graph is freed before the next sample's forward, so
+    only one sample's graph is alive. The samples go in reverse order: the
+    sweep of one graph over the whole batch reaches the last sample's nodes
+    first, and each parameter gets one contribution per sample, so summing
+    the per-sample gradients in this order gives that sweep's bits. The loss
+    and its components are recombined from the per-sample values in forward
+    order, with the association of the batch mean.
+    """
+    sample_terms = objective(batch)
+    inv_b = 1.0 / len(batch)
+    values: list[tuple[float, float, float]] = []
+    grads: list[np.ndarray] = []
+    for sample in reversed(batch):
+        terms = sample_terms(sample)
+        value = tuple(T.as_tensor(term).item() for term in terms)
+        if not all(map(math.isfinite, value)):
+            raise NonFiniteError(f"non-finite loss at step {step}")
+        root = total_loss(*(T.mul(term, inv_b) for term in terms), w)
+        root.backward(leaves=params)
+        del terms, root  # this sample's graph, before the next forward
+        if grads:
+            for g, p in zip(grads, params):
+                g += p.grad
+        else:
+            grads = [p.grad for p in params]
+        values.append(value)
+    values.reverse()
+    rec, gk, cl = (functools.reduce(operator.add, column) * inv_b
+                   for column in zip(*values))
+    loss = rec + (w.alpha2 * gk + w.alpha3 * cl)
+    if not math.isfinite(loss):
+        raise NonFiniteError(f"non-finite loss at step {step}")
+    return loss, {"rec": rec, "gk": gk, "cl": cl}, grads
+
+
 def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
-                run: RunConfig, loss_fn, kind: str,
+                run: RunConfig, objective, kind: str,
                 train_samples: list[Sample], heldout: list[Sample]) -> TrainResult:
     """Shared optimization driver.
 
-    `loss_fn(batch) -> (total Tensor, components dict)` closes over whatever
-    networks it needs; `net` holds the parameters being optimized together
-    with `extra_params` (projectors), in that order.
+    `objective(batch)` gives the per-sample terms that `_batch_step`
+    streams, and closes over whatever networks it needs; `net` holds the
+    parameters being optimized together with `extra_params` (projectors),
+    in that order.
     """
     cfg = run.train
     names = [f"net.{n}" for n in net.params()] + list(extra_params)
@@ -189,19 +228,10 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
         for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
                                        cfg.seed, epoch):
             lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
-            # drop the last step's graph (it hangs off `loss` alone) before
-            # this forward, not when the forward's result rebinds the name.
-            # Here, after adam_step, measured fewer page faults per teacher
-            # step than right after backward.
-            loss = None
             batch = [train_samples[i] for i in batch_ids]
             try:
-                loss, components = loss_fn(batch)
-                loss_value = loss.item()
-                if not math.isfinite(loss_value):
-                    raise NonFiniteError(f"non-finite loss at step {step}")
-                loss.backward(leaves=params)
-                grads = [p.grad for p in params]
+                loss_value, components, grads = _batch_step(objective, batch, params,
+                                                            cfg.loss, step)
                 adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
                           cfg.adam_eps)
                 step += 1
@@ -231,15 +261,12 @@ def train_restoration(model_cfg: ModelConfig, run: RunConfig, role: str,
         train_samples, heldout = make_train_heldout(run)
     net = build_net(model_cfg, derive_seed(run.train.seed, role))
 
-    def loss_fn(batch):
-        parts = []
-        for sample in batch:
-            x, target = Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
-            parts.append(reconstruction_loss(net.forward(x), target))
-        rec = _mean_loss(parts)
-        return rec, {"rec": rec.item(), "gk": 0.0, "cl": 0.0}
+    def sample_terms(sample):
+        x, target = Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
+        return reconstruction_loss(net.forward(x), target), 0.0, 0.0
 
-    return _train_loop(net, {}, run, loss_fn, f"plain-{role}", train_samples, heldout)
+    return _train_loop(net, {}, run, lambda batch: sample_terms, f"plain-{role}",
+                       train_samples, heldout)
 
 
 def train_teacher(run: RunConfig,
@@ -304,17 +331,15 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
     use_gk = w.alpha2 > 0.0
     use_cl = w.alpha3 > 0.0
 
-    def loss_fn(batch):
-        rec_parts: list[Tensor] = []
-        gk_parts: list[Tensor] = []
-        cl_parts: list[Tensor] = []
-        degraded_inputs = [Tensor(normalize(s.degraded)) for s in batch]
-        if use_cl:
-            negative_feats = [phi(x.detach()) for x in degraded_inputs]
-        for sample, x in zip(batch, degraded_inputs):
-            target = Tensor(normalize(sample.clean))
+    def objective(batch):
+        # the contrastive negatives, phi of the batch's degraded inputs
+        negatives = [phi(Tensor(normalize(s.degraded))) for s in batch] if use_cl else []
+
+        def sample_terms(sample):
+            x, target = Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
             s_out, s_feats = student.forward_with_features(x)
-            rec_parts.append(reconstruction_loss(s_out, target))
+            rec = reconstruction_loss(s_out, target)
+            gk = cl = 0.0
             if use_gk or use_cl:
                 t_out, t_feats = teacher.forward_with_features(x)
             if use_gk:
@@ -327,19 +352,15 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
                     s_fcs.append(s_fc)
                     s_fts.append(s_ft)
                     t_fs.append(t_f)
-                gk_parts.append(gk_feature_loss(s_fs, s_fcs, s_fts, t_fs, w))
+                gk = gk_feature_loss(s_fs, s_fcs, s_fts, t_fs, w)
             if use_cl:
-                cl_parts.append(contrastive_loss_from_features(
-                    phi(s_out), phi(t_out.detach()), negative_feats, w.tau))
-        rec = _mean_loss(rec_parts)
-        gk = _mean_loss(gk_parts) if gk_parts else 0.0
-        cl = _mean_loss(cl_parts) if cl_parts else 0.0
-        total = total_loss(rec, gk, cl, w)
-        return total, {"rec": rec.item(),
-                       "gk": gk.item() if gk_parts else 0.0,
-                       "cl": cl.item() if cl_parts else 0.0}
+                cl = contrastive_loss_from_features(
+                    phi(s_out), phi(t_out.detach()), negatives, w.tau)
+            return rec, gk, cl
 
-    return _train_loop(student, extra_params, run, loss_fn, "distill",
+        return sample_terms
+
+    return _train_loop(student, extra_params, run, objective, "distill",
                        train_samples, heldout)
 
 

@@ -1,10 +1,15 @@
-"""Scalar brute-force oracles shared by the test modules.
+"""Reference oracles shared by the test modules.
 
-Everything here is written with plain Python floats and math.* so it stays
-independent of the tensor engine it is used to check.
+The brute-force oracles are written with plain Python floats and math.* so
+they stay independent of the tensor engine they are used to check.
+`one_graph_step` is the trainer's earlier batch objective, kept as the
+reference for the streamed step that replaced it.
 """
 
 import math
+
+from skdistill import tensor as T
+from skdistill.losses import total_loss
 
 
 def softmax_row(row):
@@ -55,3 +60,31 @@ def brute_force_ssim_window(a, b, weights, c1, c2):
     cov = sum(w * x * y for w, x, y in zip(weights, a, b)) - mu_a * mu_b
     return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+
+
+def _mean_loss(parts):
+    total = parts[0]
+    for p in parts[1:]:
+        total = T.add(total, p)
+    return T.mul(total, 1.0 / len(parts))
+
+
+def one_graph_step(objective, batch, params, w=None):
+    """Loss, components and gradients of one batch built as one graph.
+
+    Every sample's terms are built in forward order, each term is averaged
+    over the batch, and one backward runs from the total: the mean
+    reconstruction alone when `w` is None (plain training), `total_loss`
+    of the three means otherwise (distillation).
+    """
+    sample_terms = objective(batch)
+    terms = [sample_terms(sample) for sample in batch]
+    means = []
+    for column in zip(*terms):
+        parts = [t for t in column if isinstance(t, T.Tensor)]
+        means.append(_mean_loss(parts) if parts else 0.0)
+    rec, gk, cl = means
+    loss = rec if w is None else total_loss(rec, gk, cl, w)
+    loss.backward(leaves=params)
+    components = {name: T.as_tensor(m).item() for name, m in zip(("rec", "gk", "cl"), means)}
+    return loss.item(), components, [p.grad.copy() for p in params]

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skdistill import cli, gradsuite, tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
@@ -260,6 +264,85 @@ def test_gradcheck_command_fails_on_non_finite_gradient(monkeypatch, capsys):
     with np.errstate(invalid="ignore"):
         assert main(["gradcheck"]) == 1
     assert "FAIL log near zero" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4", "x"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(monkeypatch, capsys, tol):
+    monkeypatch.setattr(cli, "run_gradcheck_suite", lambda seed: [])
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert "tol must be" in capsys.readouterr().err
+
+
+def test_gradcheck_tolerance_is_applied(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_gradcheck_suite", lambda seed: [])
+    assert main(["gradcheck", "--tol", "1e-3"]) == 0
+    assert "(tolerance 0.001)" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def argv_pool(tmp_path_factory):
+    """Paths for the fuzz of `main`: good and bad configs, data and checkpoints."""
+    root = tmp_path_factory.mktemp("fuzz")
+    run = RunConfig(
+        model=ModelConfig([1, 1], base_channels=4, unified_dim=4, input_channels=1),
+        data=CorpusSpec(count=2, patch_size=16, task="denoise", noise_sigma=0.1, base_seed=1))
+    good = root / "good.json"
+    save_run_config(run, good)
+    (root / "bad_utf8.json").write_bytes(b'{"model": "\xff"}')
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (root / "unknown.json").write_text('{"train": {"momentum": 0.9}}')
+    data = root / "data"
+    assert main(["synth", "--spec", str(good), "--out", str(data)]) == 0
+    ckpt = root / "net.skdc"
+    tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+    save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+    missing, a_dir = root / "missing", root / "empty"
+    a_dir.mkdir()
+    configs = [good, root / "bad_utf8.json", root / "deep.json", root / "unknown.json",
+               a_dir, missing]
+    return {"config": [str(p) for p in configs],
+            "out": [str(root / "out"), str(good), str(a_dir)],
+            "ckpt": [str(ckpt), str(good), str(a_dir), str(missing)],
+            "data": [str(data), str(a_dir), str(good), str(missing)],
+            "report": [str(root / "report.json"), str(a_dir)],
+            "size": ["16", "2", "0", "-4", "3", "x", "1e3", "1099511627776"],
+            "seed": ["0", "7", "-1", "x", "1.5"],
+            "task": ["denoise", "deblur", "bogus"]}
+
+
+@st.composite
+def cli_argv(draw, pool):
+    pick = lambda key: draw(st.sampled_from(pool[key]))
+    command = draw(st.sampled_from(["count", "synth", "eval"]))
+    if command == "count":
+        argv = ["count", "--config", pick("config")]
+        optional = [("--baseline", "config"), ("--size", "size")]
+    elif command == "synth":
+        argv = ["synth", "--spec", pick("config"), "--out", pick("out")]
+        optional = [("--seed", "seed"), ("--task", "task")]
+    else:
+        argv = ["eval", "--ckpt", pick("ckpt"), "--data", pick("data"),
+                "--report", pick("report")]
+        optional = []
+    for flag, key in optional:
+        if draw(st.booleans()):
+            argv += [flag, pick(key)]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_main_fails_only_with_exit_codes(argv_pool, data):
+    argv = data.draw(cli_argv(argv_pool))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    assert code in (0, 1, 2), argv
 
 
 def test_module_entry_point():

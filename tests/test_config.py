@@ -96,6 +96,15 @@ class TestRoundtrip:
         with pytest.raises(ConfigError):
             load_run_config(path)
 
+    # json.loads raises UnicodeDecodeError and RecursionError for these
+    @pytest.mark.parametrize("blob", [b'{"model": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                             ids=["bad-utf8", "deep"])
+    def test_undecodable_file_names_the_path(self, tmp_path, blob):
+        path = tmp_path / "broken.json"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match="broken.json"):
+            load_run_config(path)
+
 
 class TestHash:
     def test_stable_and_sensitive(self):

@@ -1,5 +1,7 @@
+import gc
 import math
 import sys
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,7 @@ from skdistill.config import RunConfig, TrainConfig, config_hash
 from skdistill.data import CorpusSpec
 from skdistill.errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from skdistill.losses import LossWeights
-from skdistill.models import ModelConfig, build_net
+from skdistill.models import ModelConfig, RestorationNet, build_net
 from skdistill.tensor import Tensor
 from skdistill.trainer import (
     AdamState,
@@ -24,6 +26,8 @@ from skdistill.trainer import (
     train_restoration,
     train_teacher,
 )
+
+from oracles import one_graph_step
 
 
 def tiny_run(**overrides):
@@ -259,6 +263,93 @@ class TestDistillation:
             bad = tiny_run(train=TrainConfig(epochs=1, batch_size=4, seed=9,
                                              distill_blocks=[99]))
             distill(bad, teacher.checkpoint, samples, held)
+
+
+@pytest.fixture(scope="module")
+def teacher_ckpt():
+    run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5))
+    return train_teacher(run, *make_train_heldout(run)).checkpoint
+
+
+class TestStreamedStep:
+    """`_batch_step` runs one sample's graph at a time; its loss, components
+    and gradients must be byte-equal to the one-graph batch objective's."""
+
+    @staticmethod
+    def _captured(monkeypatch, train, *args):
+        seen = {}
+
+        def capture(net, extra_params, run, objective, *rest):
+            seen.update(objective=objective, w=run.train.loss,
+                        params=list(net.params().values()) + list(extra_params.values()))
+
+        monkeypatch.setattr(trainer, "_train_loop", capture)
+        train(*args)
+        return seen
+
+    @staticmethod
+    def _assert_matches_one_graph(seen, batch, weighted):
+        objective, params, w = seen["objective"], seen["params"], seen["w"]
+        loss, components, grads = trainer._batch_step(objective, batch, params, w, 0)
+        ref_loss, ref_components, ref_grads = one_graph_step(
+            objective, batch, params, w if weighted else None)
+        assert loss.hex() == ref_loss.hex()
+        assert {k: v.hex() for k, v in components.items()} == \
+            {k: v.hex() for k, v in ref_components.items()}
+        assert len(grads) == len(ref_grads) == len(params)
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape and g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4])
+    def test_teacher(self, monkeypatch, batch_size):
+        run = tiny_run()
+        samples, held = make_train_heldout(run)
+        seen = self._captured(monkeypatch, train_teacher, run, samples, held)
+        self._assert_matches_one_graph(seen, samples[:batch_size], weighted=False)
+
+    @pytest.mark.parametrize("loss,blocks", [
+        (LossWeights(tau=0.5), None),
+        (LossWeights(tau=1e-6), None),
+        (LossWeights(tau=0.5), [0]),
+        (LossWeights(alpha2=0.0, alpha3=0.0), None),
+    ], ids=["tau0.5", "tau1e-6", "blocks0", "alphas0"])
+    def test_distill(self, monkeypatch, teacher_ckpt, loss, blocks):
+        run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5,
+                                         loss=loss, distill_blocks=blocks))
+        samples, held = make_train_heldout(run)
+        seen = self._captured(monkeypatch, distill, run, teacher_ckpt, samples, held)
+        self._assert_matches_one_graph(seen, samples[:4], weighted=True)
+
+
+def test_distill_frees_each_samples_graph_before_the_next_forward(monkeypatch,
+                                                                  teacher_ckpt):
+    run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5))
+    samples, held = make_train_heldout(run)
+    forward = RestorationNet.forward_with_features
+    outputs: list[weakref.ref] = []
+    student_calls = []
+
+    def spy(net, x):
+        if next(iter(net.params().values())).requires_grad:
+            # refcounting alone must have freed the previous sample's graph
+            assert all(ref() is None for ref in outputs), \
+                f"student call {len(student_calls)}: an earlier output is alive"
+            student_calls.append(None)
+            out, feats = forward(net, x)
+            outputs.extend(weakref.ref(t) for t in (out, *(f.values for f in feats)))
+            return out, feats
+        return forward(net, x)
+
+    monkeypatch.setattr(RestorationNet, "forward_with_features", spy)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = distill(run, teacher_ckpt, samples, held)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert not res.aborted and len(res.history) == 2
+    assert len(student_calls) >= 2 * run.train.batch_size
 
 
 class TestEvaluate:
