@@ -2,7 +2,6 @@
 
 from .attention import (
     FeatureMap,
-    LambdaPolicy,
     Projector,
     channel_cross_attention,
     cross_net_features,
@@ -49,7 +48,7 @@ from .trainer import adam_step, cosine_lr, distill, evaluate, train_teacher
 
 __all__ = [
     "Tensor", "count_macs", "gradcheck",
-    "FeatureMap", "LambdaPolicy", "Projector", "project", "make_projector",
+    "FeatureMap", "Projector", "project", "make_projector",
     "channel_cross_attention", "spatial_cross_attention", "cross_net_features",
     "LossWeights", "PhiExtractor", "gaussian_kernel_distance", "gk_feature_loss",
     "contrastive_loss_from_features", "reconstruction_loss", "total_loss",

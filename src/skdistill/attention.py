@@ -53,26 +53,6 @@ class FeatureMap:
 
 
 @dataclass
-class LambdaPolicy:
-    """Temperature for attention logits: sqrt of the contraction dimension
-    of the logit product, or a fixed constant override."""
-
-    kind: str = "sqrt_dim"
-    value: float | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("sqrt_dim", "constant"):
-            raise ConfigError(f"unknown lambda policy kind {self.kind!r}")
-        if self.kind == "constant" and (self.value is None or self.value <= 0):
-            raise ConfigError("constant lambda policy needs a positive value")
-
-    def resolve(self, contraction_dim: int) -> float:
-        if self.kind == "constant":
-            return float(self.value)
-        return math.sqrt(contraction_dim)
-
-
-@dataclass
 class Projector:
     """Per-block 1x1 channel map aligning a feature into the shared width."""
 
@@ -115,65 +95,50 @@ def _check_pair(t: FeatureMap, s: FeatureMap) -> None:
             f"cross attention needs matching shapes, got {t.values.shape} and {s.values.shape}")
 
 
-def channel_attention_matrix(t: FeatureMap, s: FeatureMap,
-                             policy: LambdaPolicy = LambdaPolicy()) -> Tensor:
-    """(C, C) row-stochastic attention from teacher channels over student channels."""
+def channel_attention_matrix(t: FeatureMap, s: FeatureMap) -> Tensor:
+    """(C, C) row-stochastic attention from teacher channels over student
+    channels, with temperature lambda = sqrt(N)."""
     _check_pair(t, s)
-    lam = policy.resolve(t.pixels)
+    lam = math.sqrt(t.pixels)
     logits = T.mul(T.matmul(t.matrix(), T.transpose(s.matrix())), 1.0 / lam)
     return T.softmax_rows(logits)
 
 
-def channel_cross_attention(t: FeatureMap, s: FeatureMap,
-                            policy: LambdaPolicy = LambdaPolicy()) -> FeatureMap:
-    a = channel_attention_matrix(t, s, policy)
+def channel_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
+    a = channel_attention_matrix(t, s)
     out = T.matmul(a, s.matrix())
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
-_SOFTMAX_AXES = {"columns": 0, "rows": 1}
-
-
-def _spatial_args(t: FeatureMap, s: FeatureMap, policy: LambdaPolicy,
-                  softmax_axis: str) -> tuple[float, int]:
-    """(logit scale 1/lambda, softmax axis index) of a validated pair."""
+def _spatial_scale(t: FeatureMap, s: FeatureMap) -> float:
+    """Logit scale 1/lambda, lambda = sqrt(C), of a validated pair."""
     _check_pair(t, s)
-    if softmax_axis not in _SOFTMAX_AXES:
-        raise ConfigError(f"softmax_axis must be 'columns' or 'rows', got {softmax_axis!r}")
-    return 1.0 / policy.resolve(t.channels), _SOFTMAX_AXES[softmax_axis]
+    return 1.0 / math.sqrt(t.channels)
 
 
-def spatial_attention_matrix(t: FeatureMap, s: FeatureMap,
-                             policy: LambdaPolicy = LambdaPolicy(),
-                             softmax_axis: str = "columns") -> Tensor:
-    """(N, N) attention over pixel positions, normalized along `softmax_axis`.
+def spatial_attention_matrix(t: FeatureMap, s: FeatureMap) -> Tensor:
+    """(N, N) attention over pixel positions, normalized over each column.
 
-    Column normalization (the default) makes each output column of S @ B a
-    convex combination of student pixel columns, mirroring the channel case.
+    Column normalization makes each output column of S @ B a convex
+    combination of student pixel columns, mirroring the channel case.
     This is the composite reference; `spatial_cross_attention` runs the same
     math as one fused op and never materialises the logits on the graph.
     """
-    scale, axis = _spatial_args(t, s, policy, softmax_axis)
     # scale the (C, N) operand rather than the (N, N) logits: same math,
     # one full pass over the big matrix saved in each direction
-    scaled = T.mul(t.matrix(), scale)
+    scaled = T.mul(t.matrix(), _spatial_scale(t, s))
     logits = T.matmul(T.transpose(scaled), s.matrix())
-    return T.softmax_cols(logits) if axis == 0 else T.softmax_rows(logits)
+    return T.softmax_cols(logits)
 
 
-def spatial_cross_attention(t: FeatureMap, s: FeatureMap,
-                            policy: LambdaPolicy = LambdaPolicy(),
-                            softmax_axis: str = "columns") -> FeatureMap:
+def spatial_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
     """S @ spatial_attention_matrix(t, s), fused into one engine op."""
-    scale, axis = _spatial_args(t, s, policy, softmax_axis)
-    out = T.spatial_attend(t.matrix(), s.matrix(), scale, axis)
+    out = T.spatial_attend(t.matrix(), s.matrix(), _spatial_scale(t, s))
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
 def cross_net_features(t_raw: FeatureMap, s_raw: FeatureMap,
-                       p_t: Projector, p_s: Projector,
-                       policy: LambdaPolicy = LambdaPolicy(),
-                       softmax_axis: str = "columns"
+                       p_t: Projector, p_s: Projector
                        ) -> tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]:
     """Project a raw teacher/student pair and run both interactions.
 
@@ -185,6 +150,6 @@ def cross_net_features(t_raw: FeatureMap, s_raw: FeatureMap,
             f"projector widths differ: teacher {p_t.out_channels}, student {p_s.out_channels}")
     t_f = project(p_t, FeatureMap(t_raw.values.detach()))
     s_f = project(p_s, s_raw)
-    s_fc = channel_cross_attention(t_f, s_f, policy)
-    s_ft = spatial_cross_attention(t_f, s_f, policy, softmax_axis)
+    s_fc = channel_cross_attention(t_f, s_f)
+    s_ft = spatial_cross_attention(t_f, s_f)
     return s_f, s_fc, s_ft, t_f

@@ -5,7 +5,9 @@ Layout, all little-endian:
     magic           4 bytes  b"SKDC"
     version         u32      = 1
     step            u64
-    rng_len         u32      followed by a UTF-8 JSON object: the RNG state ({} if none)
+    rng_len         u32      followed by a UTF-8 JSON object: a reserved RNG-state
+                             block, written as {}; on load it must be an object
+                             and its content is discarded
     meta_len        u32      followed by a UTF-8 JSON object: metadata (configs etc.)
     tensor_count    u32
     per tensor:
@@ -43,10 +45,8 @@ DTYPE_FLOAT64 = 0
 @dataclass
 class Checkpoint:
     step: int = 0
-    rng_state: dict | None = None
     meta: dict = field(default_factory=dict)
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
-    version: int = VERSION
 
 
 def _encode_json(obj) -> bytes:
@@ -55,7 +55,7 @@ def _encode_json(obj) -> bytes:
 
 def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
     parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", ckpt.step)]
-    rng_blob = _encode_json(ckpt.rng_state if ckpt.rng_state is not None else {})
+    rng_blob = _encode_json({})
     parts.append(struct.pack("<I", len(rng_blob)))
     parts.append(rng_blob)
     meta_blob = _encode_json(ckpt.meta)
@@ -123,7 +123,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         raise CheckpointVersionError(
             f"unsupported checkpoint version {version} at offset 4, expected {VERSION}")
     step = r.u64()
-    rng_state = r.json_object("RNG state")
+    r.json_object("RNG state")
     meta = r.json_object("metadata")
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
@@ -155,8 +155,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     if r.offset != len(blob):
         raise CheckpointFormatError(
             f"{len(blob) - r.offset} trailing bytes at offset {r.offset}")
-    return Checkpoint(step=step, rng_state=rng_state if rng_state else None,
-                      meta=meta, tensors=tensors, version=version)
+    return Checkpoint(step=step, meta=meta, tensors=tensors)
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:

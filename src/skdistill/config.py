@@ -45,6 +45,17 @@ class TrainConfig:
             raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # beta = 1 or eps = 0 divides by zero in the first Adam update
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0:
+            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
+        if self.distill_blocks is not None:
+            blocks = self.distill_blocks
+            if not blocks or min(blocks) < 0 or len(set(blocks)) != len(blocks):
+                raise ConfigError(f"distill_blocks must list at least one tap, each >= 0 "
+                                  f"and none twice, got {blocks}")
 
 
 @dataclass

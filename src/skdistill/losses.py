@@ -14,12 +14,10 @@ from typing import Sequence
 import numpy as np
 
 from . import tensor as T
-from .attention import FeatureMap, LambdaPolicy
+from .attention import FeatureMap
 from .errors import ConfigError, DegenerateFeatureError, NonFiniteError, RangeError, ShapeError
 from .seeding import rng_for
 from .tensor import Tensor
-
-GK_MODES = ("raw", "per-element-mean")
 
 
 @dataclass
@@ -31,10 +29,6 @@ class LossWeights:
     alpha3: float = 0.2
     sigma: float = 1.0
     tau: float = 1e-6
-    gk_mode: str = "per-element-mean"
-    lambda_kind: str = "sqrt_dim"
-    lambda_value: float | None = None
-    spatial_axis: str = "columns"
 
     def __post_init__(self):
         if min(self.alpha1, self.alpha2, self.alpha3) < 0:
@@ -43,30 +37,21 @@ class LossWeights:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.gk_mode not in GK_MODES:
-            raise ConfigError(f"gk_mode must be one of {GK_MODES}, got {self.gk_mode!r}")
-        if self.spatial_axis not in ("columns", "rows"):
-            raise ConfigError(f"spatial_axis must be 'columns' or 'rows', got {self.spatial_axis!r}")
-
-    def lambda_policy(self) -> LambdaPolicy:
-        return LambdaPolicy(self.lambda_kind, self.lambda_value)
 
 
-def gaussian_kernel_distance(x, y, sigma: float = 1.0,
-                             mode: str = "per-element-mean") -> Tensor:
-    """1 - exp(-d2 / (2 sigma^2)) with d2 the squared L2 distance; in
-    per-element-mean mode d2 is divided by the element count first."""
+def gaussian_kernel_distance(x, y, sigma: float = 1.0) -> Tensor:
+    """1 - exp(-d2 / (2 sigma^2)) with d2 the mean over elements of (x - y)^2.
+
+    The paper's d2 is the plain sum ||x - y||^2; on 32x32 feature maps that
+    saturates every kernel term at 1, which passes no gradient.
+    """
     x, y = T.as_tensor(x), T.as_tensor(y)
     if x.shape != y.shape:
         raise ShapeError(f"kernel distance needs matching shapes, got {x.shape} and {y.shape}")
     if sigma <= 0:
         raise RangeError(f"sigma must be positive, got {sigma}")
-    if mode not in GK_MODES:
-        raise ConfigError(f"unknown gk mode {mode!r}")
     diff = T.sub(x, y)
-    d2 = T.sum_(T.mul(diff, diff))
-    if mode == "per-element-mean":
-        d2 = T.mul(d2, 1.0 / x.size)
+    d2 = T.mul(T.sum_(T.mul(diff, diff)), 1.0 / x.size)
     return T.sub(1.0, T.exp(T.mul(d2, -1.0 / (2.0 * sigma * sigma))))
 
 
@@ -74,7 +59,7 @@ def gk_block_loss(s_f: FeatureMap, s_fc: FeatureMap, s_ft: FeatureMap,
                   t_f: FeatureMap, w: LossWeights) -> Tensor:
     """Kernel loss for one distilled block: direct term plus the two
     attention-mixed terms scaled by alpha1."""
-    gk = lambda a, b: gaussian_kernel_distance(a.values, b.values, w.sigma, w.gk_mode)
+    gk = lambda a, b: gaussian_kernel_distance(a.values, b.values, w.sigma)
     mixed = T.add(gk(s_fc, t_f), gk(s_ft, t_f))
     return T.add(gk(s_f, t_f), T.mul(mixed, w.alpha1))
 

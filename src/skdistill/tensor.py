@@ -446,14 +446,14 @@ def softmax_cols(a) -> Tensor:
     return _softmax(a, 0, "softmax_cols")
 
 
-def spatial_attend(t, s, scale: float, axis: int) -> Tensor:
-    """s @ softmax(scale * t^T s) for (C, N) inputs, as one graph node.
+def spatial_attend(t, s, scale: float) -> Tensor:
+    """s @ softmax_cols(scale * t^T s) for (C, N) inputs, as one graph node.
 
-    The softmax runs over `axis` of the (N, N) logits (0: columns, 1: rows)
-    with the same operation sequence as `_softmax`, so the output is bitwise
-    that of the composite `matmul(s, softmax_*(matmul(transpose(t * scale),
-    s)))`. Only the probability matrix is kept for the backward; the logits
-    and the N x N gradients live for one call each. Records the MACs of the
+    The softmax runs over each column of the (N, N) logits with the same
+    operation sequence as `_softmax`, so the output is bitwise that of the
+    composite `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))`.
+    Only the probability matrix is kept for the backward; the logits and
+    the N x N gradients live for one call each. Records the MACs of the
     two matmuls it replaces, 2 * C * N^2.
     """
     t, s = as_tensor(t), as_tensor(s)
@@ -462,15 +462,13 @@ def spatial_attend(t, s, scale: float, axis: int) -> Tensor:
                          f"got {t.shape} and {s.shape}")
     if min(t.shape) < 1:
         raise ShapeError(f"spatial_attend over an empty dimension, shape {t.shape}")
-    if axis not in (0, 1):
-        raise RangeError(f"spatial_attend axis must be 0 or 1, got {axis}")
     c, n = s.shape
     _record_macs(2 * c * n * n)
     ts = t.data * scale
     b = ts.T @ s.data
-    b -= b.max(axis=axis, keepdims=True)
+    b -= b.max(axis=0, keepdims=True)
     np.exp(b, out=b)
-    b /= b.sum(axis=axis, keepdims=True)
+    b /= b.sum(axis=0, keepdims=True)
     y = s.data @ b
     req = t.requires_grad or s.requires_grad
     parents = tuple(p for p in (t, s) if p.requires_grad)
@@ -478,21 +476,15 @@ def spatial_attend(t, s, scale: float, axis: int) -> Tensor:
     if req:
         def backward(g):
             # softmax Jacobian: dL = B * (dB - r) with dB = s^T g and r the
-            # sums of B * dB along `axis`. Those sums have (C, N) closed
-            # forms, sum_c g * y (columns) or sum_c s * (g B^T) (rows), and
-            # the subtraction rides in dB's matmul as one extra row, so
-            # dL costs one N x N product and one N x N multiply.
-            gbt = g @ b.T
-            minus_one = np.full((1, n), -1.0)
-            if axis == 0:
-                lhs = np.vstack([s.data, minus_one])
-                rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
-            else:
-                lhs = np.vstack([s.data, np.einsum("ci,ci->i", s.data, gbt)[None]])
-                rhs = np.vstack([g, minus_one])
+            # column sums of B * dB, which have the (C, N) closed form
+            # sum_c g * y. The subtraction rides in dB's matmul as one extra
+            # row, so dL costs one N x N product and one N x N multiply.
+            lhs = np.vstack([s.data, np.full((1, n), -1.0)])
+            rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
             dl = lhs.T @ rhs
             dl *= b
             if s.requires_grad:
+                gbt = g @ b.T
                 gbt += ts @ dl
                 s._accum_owned(gbt)
             if t.requires_grad:

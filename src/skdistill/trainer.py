@@ -327,7 +327,6 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
         extra_params[f"proj{i}.s.b"] = p_s.bias
     phi = PhiExtractor(run.student_model.input_channels,
                        derive_seed(run.train.seed, "phi"))
-    policy = w.lambda_policy()
     use_gk = w.alpha2 > 0.0
     use_cl = w.alpha3 > 0.0
 
@@ -346,8 +345,7 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
                 s_fs, s_fcs, s_fts, t_fs = [], [], [], []
                 for i in taps:
                     p_t, p_s = projectors[i]
-                    s_f, s_fc, s_ft, t_f = cross_net_features(
-                        t_feats[i], s_feats[i], p_t, p_s, policy, w.spatial_axis)
+                    s_f, s_fc, s_ft, t_f = cross_net_features(t_feats[i], s_feats[i], p_t, p_s)
                     s_fs.append(s_f)
                     s_fcs.append(s_fc)
                     s_fts.append(s_ft)

@@ -115,7 +115,7 @@ class TestClosedFormLossIdentities:
         for sigma in (1.0, 0.3, 2.5):
             y = Tensor(np.zeros(7))
             z = Tensor(np.full(7, sigma * math.sqrt(2.0)))
-            got = gaussian_kernel_distance(y, z, sigma, "per-element-mean").item()
+            got = gaussian_kernel_distance(y, z, sigma).item()
             assert abs(got - (1.0 - math.exp(-1.0))) < 1e-12
 
         phi = PhiExtractor(1, seed=0)
@@ -271,7 +271,7 @@ class TestCheckpointRoundtrip:
     def test_lossless_and_error_kinds(self):
         g = np.random.default_rng(3)
         net = build_net(ModelConfig([1, 1], 6, 4, 1), 9)
-        ckpt = Checkpoint(step=77, rng_state={"bit_generator": "PCG64"},
+        ckpt = Checkpoint(step=77,
                           meta={"kind": "teacher", "model": net.cfg.to_dict()},
                           tensors={f"net.{k}": v for k, v in net.state_arrays().items()})
         blob = checkpoint_to_bytes(ckpt)

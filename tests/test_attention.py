@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from skdistill import tensor as T
 from skdistill.attention import (
     FeatureMap,
-    LambdaPolicy,
     Projector,
     channel_attention_matrix,
     channel_cross_attention,
@@ -88,18 +87,10 @@ class TestChannelAttention:
         t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
         lam = math.sqrt(2.0)
         want, want_a = brute_force_channel(t_rows, s_rows, lam)
-        got = channel_cross_attention(t, s, LambdaPolicy()).values.data.reshape(2, 2)
+        got = channel_cross_attention(t, s).values.data.reshape(2, 2)
         got_a = channel_attention_matrix(t, s).data
         assert np.max(np.abs(got - np.array(want))) < 1e-12
         assert np.max(np.abs(got_a - np.array(want_a))) < 1e-12
-
-    def test_constant_lambda_policy(self):
-        t_rows = [[1.0, 0.0], [0.0, 1.0]]
-        s_rows = [[1.0, 2.0], [3.0, 4.0]]
-        t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
-        want, _ = brute_force_channel(t_rows, s_rows, 5.0)
-        got = channel_cross_attention(t, s, LambdaPolicy("constant", 5.0)).values.data
-        assert np.max(np.abs(got.reshape(2, 2) - np.array(want))) < 1e-12
 
     def test_shape_mismatch(self):
         t, _ = random_pair(5, c=2)
@@ -134,24 +125,12 @@ class TestSpatialAttention:
         assert np.max(np.abs(got - np.array(want))) < 1e-12
         assert np.max(np.abs(got_b - np.array(want_b))) < 1e-12
 
-    def test_rows_axis_variant(self):
-        t, s = random_pair(8, c=2, h=1, w=3)
-        b = spatial_attention_matrix(t, s, softmax_axis="rows")
-        assert np.all(np.abs(b.data.sum(axis=1) - 1.0) < 1e-9)
-
-    def test_bad_axis(self):
-        t, s = random_pair(9)
-        with pytest.raises(ConfigError):
-            spatial_attention_matrix(t, s, softmax_axis="diag")
-        with pytest.raises(ConfigError):
-            spatial_cross_attention(t, s, softmax_axis="diag")
-
 
 class TestFusedSpatialAttention:
     """The fused op against the composite reference it replaces."""
 
     @staticmethod
-    def run(fused, shape, axis, seed):
+    def run(fused, shape, seed):
         g = np.random.default_rng(seed)
         t = Tensor(g.normal(size=shape), requires_grad=True)
         s = Tensor(g.normal(size=shape), requires_grad=True)
@@ -159,19 +138,18 @@ class TestFusedSpatialAttention:
         ft, fs = FeatureMap(t), FeatureMap(s)
         with T.count_macs() as counter:
             if fused:
-                out = spatial_cross_attention(ft, fs, softmax_axis=axis).values
+                out = spatial_cross_attention(ft, fs).values
             else:
-                b = spatial_attention_matrix(ft, fs, softmax_axis=axis)
+                b = spatial_attention_matrix(ft, fs)
                 out = T.reshape(T.matmul(fs.matrix(), b), shape)
         T.sum_(T.mul(out, weight)).backward()
         return out.data, t.grad, s.grad, counter.macs
 
-    @pytest.mark.parametrize("axis", ["columns", "rows"])
     @pytest.mark.parametrize("hw", [(2, 2), (7, 5), (32, 32)])
-    def test_matches_composite_path(self, hw, axis):
+    def test_matches_composite_path(self, hw):
         shape = (4,) + hw
-        out, dt, ds, macs = self.run(True, shape, axis, seed=sum(hw))
-        ref_out, ref_dt, ref_ds, ref_macs = self.run(False, shape, axis, seed=sum(hw))
+        out, dt, ds, macs = self.run(True, shape, seed=sum(hw))
+        ref_out, ref_dt, ref_ds, ref_macs = self.run(False, shape, seed=sum(hw))
         assert out.tobytes() == ref_out.tobytes()
         for got, want in ((dt, ref_dt), (ds, ref_ds)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -180,7 +158,7 @@ class TestFusedSpatialAttention:
     def test_rejects_mismatched_operands(self):
         g = np.random.default_rng(0)
         with pytest.raises(ShapeError):
-            T.spatial_attend(Tensor(g.normal(size=(2, 3))), Tensor(g.normal(size=(3, 3))), 1.0, 0)
+            T.spatial_attend(Tensor(g.normal(size=(2, 3))), Tensor(g.normal(size=(3, 3))), 1.0)
 
 
 class TestNormalizationProperties:

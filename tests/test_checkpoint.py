@@ -19,17 +19,13 @@ from skdistill.errors import (
     SkdError,
 )
 from skdistill.models import ModelConfig, build_net
-from skdistill.seeding import rng_for
 from skdistill.trainer import load_net
 
 
 def sample_checkpoint():
     g = np.random.default_rng(0)
-    rng = rng_for(3, "train")
-    rng.random(5)
     return Checkpoint(
         step=1234,
-        rng_state=rng.bit_generator.state,
         meta={"kind": "teacher", "model": {"base_channels": 8}},
         tensors={
             "net.w": g.normal(size=(3, 4, 5)),
@@ -52,18 +48,6 @@ class TestRoundtrip:
             assert back.tensors[name].tobytes() == \
                 np.asarray(ckpt.tensors[name], dtype=np.float64).tobytes()
             assert back.tensors[name].shape == np.asarray(ckpt.tensors[name]).shape
-
-    def test_rng_state_restores_stream(self, tmp_path):
-        rng = rng_for(9, "loop")
-        rng.random(3)
-        ckpt = Checkpoint(step=1, rng_state=rng.bit_generator.state)
-        expected = rng.random(4)
-        path = tmp_path / "r.skdc"
-        save_checkpoint(ckpt, path)
-        state = load_checkpoint(path).rng_state
-        fresh = rng_for(0, "other")
-        fresh.bit_generator.state = state
-        assert np.array_equal(fresh.random(4), expected)
 
     def test_net_parameters_roundtrip(self, tmp_path):
         net = build_net(ModelConfig([1, 1], 4, 4, 1), 5)
@@ -167,6 +151,11 @@ class TestStructuralErrors:
     def test_rng_block_must_be_an_object(self, rng):
         with pytest.raises(CheckpointFormatError, match="RNG state at offset 20"):
             checkpoint_from_bytes(raw_blob(rng=rng))
+
+    def test_rng_block_content_is_discarded(self):
+        # files that stored an RNG state still load; the block is rewritten as {}
+        blob = raw_blob(rng=b'{"bit_generator": "PCG64"}')
+        assert checkpoint_to_bytes(checkpoint_from_bytes(blob)) == raw_blob()
 
     @pytest.mark.parametrize("meta", [b"[]", b"1.5", b"true"])
     def test_meta_block_must_be_an_object(self, meta):

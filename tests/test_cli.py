@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from skdistill import cli, gradsuite, tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from skdistill.cli import EXIT_ABORTED, main
-from skdistill.config import RunConfig, TrainConfig, save_run_config
+from skdistill.config import RunConfig, TrainConfig, load_run_config, save_run_config
 from skdistill.data import CorpusSpec
+from skdistill.errors import ConfigError
 from skdistill.models import ModelConfig, build_net
 from skdistill.trainer import TrainResult
 
@@ -201,6 +202,22 @@ class TestBoundaryErrors:
         path.write_text('{"train": {"loss": {"tau": NaN}}}')
         assert main(["count", "--config", str(path)]) == 1
         assert "train.loss.tau must be finite" in capsys.readouterr().err
+
+    # the objective's kernel distance, temperature and spatial softmax are fixed
+    @pytest.mark.parametrize("key, value", [
+        ("gk_mode", "per-element-mean"), ("lambda_kind", "sqrt_dim"),
+        ("lambda_value", None), ("spatial_axis", "columns"),
+    ])
+    def test_removed_loss_key_is_a_config_error(self, tiny_run, tmp_path, capsys, key, value):
+        run, _ = tiny_run
+        blob = run.to_dict()
+        blob["train"]["loss"][key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match="train.loss"):
+            load_run_config(path)
+        assert main(["count", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["count", "channels"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import typing
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,8 @@ from skdistill.errors import ConfigError, SkdError
 from skdistill.losses import LossWeights
 from skdistill.models import ModelConfig
 
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
 
 class TestDefaults:
     def test_loss_weight_defaults(self):
@@ -26,8 +29,8 @@ class TestDefaults:
         assert (w.alpha1, w.alpha2, w.alpha3) == (0.5, 0.2, 0.2)
         assert w.tau == 1e-6
         assert w.sigma == 1.0
-        assert w.gk_mode == "per-element-mean"
-        assert w.spatial_axis == "columns"
+        assert [f.name for f in dataclasses.fields(w)] == \
+            ["alpha1", "alpha2", "alpha3", "sigma", "tau"]
 
     def test_train_defaults(self):
         t = TrainConfig()
@@ -47,11 +50,30 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             LossWeights(tau=-1.0)
         with pytest.raises(ConfigError):
-            LossWeights(gk_mode="rms")
-        with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
         with pytest.raises(ConfigError):
             CorpusSpec(base_seed=-1)
+
+    # beta = 1 and eps = 0 divide by zero in the first Adam update; a beta
+    # outside [0, 1) makes no moving average
+    @pytest.mark.parametrize("field, value", [
+        ("beta1", 1.0), ("beta1", -0.5), ("beta2", 1.0), ("beta2", 1.5),
+        ("adam_eps", 0.0), ("adam_eps", -1e-8),
+    ])
+    def test_adam_hyper_parameter_bounds(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_adam_hyper_parameter_edges_accepted(self):
+        TrainConfig(beta1=0.0, beta2=0.0, adam_eps=5e-324)
+        TrainConfig(beta1=0.999999, beta2=0.999999)
+
+    @pytest.mark.parametrize("blocks", [[], [0, 0], [1, 0, 1], [-1], [0, -2]])
+    def test_distill_blocks_rejects_empty_duplicate_negative(self, blocks):
+        with pytest.raises(ConfigError, match="distill_blocks"):
+            TrainConfig(distill_blocks=blocks)
+        with pytest.raises(ConfigError, match="distill_blocks"):
+            RunConfig.from_dict({"train": {"distill_blocks": blocks}})
 
 
 class TestRoundtrip:
@@ -89,6 +111,11 @@ class TestRoundtrip:
         blob2["data"]["format"] = "png"
         with pytest.raises(ConfigError):
             RunConfig.from_dict(blob2)
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_shipped_config_loads(self, path):
+        run = load_run_config(path)
+        assert RunConfig.from_dict(run.to_dict()) == run
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -149,9 +176,9 @@ class TestTypedReader:
             load_run_config(path)
 
     def test_int_accepted_where_float_declared(self):
-        run = RunConfig.from_dict({"train": {"lr_max": 1, "loss": {"lambda_value": 2}}})
+        run = RunConfig.from_dict({"train": {"lr_max": 1, "loss": {"sigma": 2}}})
         assert run.train.lr_max == 1
-        assert run.train.loss.lambda_value == 2
+        assert run.train.loss.sigma == 2
         assert RunConfig.from_dict(run.to_dict()) == run
 
     def test_unset_optionals_written_as_null(self):

@@ -41,25 +41,23 @@ def fmap(arr):
 class TestGaussianKernelDistance:
     def test_zero_at_equal_inputs(self):
         x = Tensor(np.random.default_rng(0).normal(size=(3, 4)))
-        for mode in ("raw", "per-element-mean"):
-            assert gaussian_kernel_distance(x, x, 1.0, mode).item() == 0.0
+        assert gaussian_kernel_distance(x, x, 1.0).item() == 0.0
 
     def test_closed_form_at_two_sigma_squared(self):
         # constant offset sigma*sqrt(2) gives mean squared distance 2 sigma^2
         for sigma in (1.0, 0.7, 3.0):
             x = Tensor(np.zeros(5))
             y = Tensor(np.full(5, sigma * math.sqrt(2.0)))
-            got = gaussian_kernel_distance(x, y, sigma, "per-element-mean").item()
+            got = gaussian_kernel_distance(x, y, sigma).item()
             assert abs(got - (1.0 - math.exp(-1.0))) < 1e-12
 
-    def test_raw_mode_closed_form(self):
-        # single element, distance^2 = 2 sigma^2 without any mean scaling
-        got = gaussian_kernel_distance(Tensor([0.0]), Tensor([math.sqrt(2.0)]),
-                                       1.0, "raw").item()
+    def test_single_element_closed_form(self):
+        # one element: the mean squared distance is the squared distance, 2 sigma^2
+        got = gaussian_kernel_distance(Tensor([0.0]), Tensor([math.sqrt(2.0)]), 1.0).item()
         assert abs(got - (1.0 - math.exp(-1.0))) < 1e-12
 
     def test_monotone_approach_to_one(self):
-        values = [gaussian_kernel_distance(Tensor([0.0]), Tensor([d]), 1.0, "raw").item()
+        values = [gaussian_kernel_distance(Tensor([0.0]), Tensor([d]), 1.0).item()
                   for d in (0.5, 1.0, 2.0, 3.0, 5.0)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert values[-1] < 1.0
@@ -79,14 +77,12 @@ class TestGaussianKernelDistance:
         with pytest.raises(ShapeError):
             gaussian_kernel_distance(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
 
-    def test_gradcheck_both_modes(self):
+    def test_gradcheck(self):
         g = np.random.default_rng(1)
         y = Tensor(g.normal(size=(2, 3)))
-        for mode in ("raw", "per-element-mean"):
-            err = T.gradcheck(
-                lambda x: gaussian_kernel_distance(x, y, 0.8, mode),
-                Tensor(g.normal(size=(2, 3))), eps=1e-5)
-            assert err < 1e-4
+        err = T.gradcheck(lambda x: gaussian_kernel_distance(x, y, 0.8),
+                          Tensor(g.normal(size=(2, 3))), eps=1e-5)
+        assert err < 1e-4
 
     def test_gradcheck_composed_with_softmax_mixing(self):
         g = np.random.default_rng(2)
@@ -103,7 +99,7 @@ class TestGkFeatureLoss:
         w = LossWeights(alpha1=0.5)
         t = fmap(np.zeros((2, 1, 2)))
         s = fmap(np.full((2, 1, 2), 0.5))
-        d = gaussian_kernel_distance(s.values, t.values, w.sigma, w.gk_mode).item()
+        d = gaussian_kernel_distance(s.values, t.values, w.sigma).item()
         loss = gk_block_loss(s, s, s, t, w).item()
         assert abs(loss - 2.0 * d) < 1e-12
 

@@ -195,7 +195,7 @@ class TestGraphRelease:
             t = Tensor(g.normal(size=(3, 6)), requires_grad=True)
             s = Tensor(g.normal(size=(3, 6)), requires_grad=True)
             e = T.exp(T.mul(t, 0.1))
-            mixed = T.spatial_attend(e, s, 0.5, 0)
+            mixed = T.spatial_attend(e, s, 0.5)
             loss = gaussian_kernel_distance(mixed, Tensor(g.normal(size=(3, 6))), 1.0)
             loss.backward(leaves=[t, s])
             probes = [weakref.ref(e), weakref.ref(mixed)]
