@@ -46,6 +46,13 @@ class CorpusSpec:
             raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
         if self.base_seed < 0:
             raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
+        # zero strength is the identity degradation; negative strengths either
+        # crash numpy or silently write undegraded pairs (`not >=` refuses NaN)
+        for name in ("noise_sigma", "blur_sigma", "rain_density"):
+            if not getattr(self, name) >= 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not self.rain_length > 0:
+            raise ConfigError(f"rain_length must be > 0, got {self.rain_length}")
 
 
 @dataclass

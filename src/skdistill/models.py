@@ -206,15 +206,14 @@ class RestorationNet:
     def _pw(self, name: str, m: Tensor) -> Tensor:
         return T.linear(self._p(f"{name}.w"), m, self._p(f"{name}.b"))
 
-    def _ln(self, name: str, m: Tensor, c: int) -> Tensor:
-        return T.layer_norm_channels(m, self._p(f"{name}.g"), self._p(f"{name}.b"),
-                                     eps=LN_EPS)
+    def _ln(self, name: str, m: Tensor) -> Tensor:
+        return T.layer_norm_channels(m, self._p(f"{name}.g"), self._p(f"{name}.b"), eps=LN_EPS)
 
-    def _attn(self, base: str, m: Tensor, c: int, n: int) -> Tensor:
+    def _attn(self, base: str, m: Tensor) -> Tensor:
         q = self._pw(f"{base}.attn.q", m)
         k = self._pw(f"{base}.attn.k", m)
         v = self._pw(f"{base}.attn.v", m)
-        logits = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(n))
+        logits = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(m.shape[1]))
         mixed = T.matmul(T.softmax_rows(logits), v)
         return self._pw(f"{base}.attn.o", mixed)
 
@@ -222,14 +221,14 @@ class RestorationNet:
         hidden = T.gelu(self._pw(f"{base}.ffn.w1", m))
         return self._pw(f"{base}.ffn.w2", hidden)
 
-    def _group(self, prefix: str, blocks: int, m: Tensor, c: int, n: int) -> Tensor:
+    def _group(self, prefix: str, blocks: int, m: Tensor) -> Tensor:
         produced = [m]
         for j in range(blocks):
             base = f"{prefix}.b{j}"
             cat = produced[0] if len(produced) == 1 else T.concat(produced, axis=0)
             u = self._pw(f"{base}.fuse", cat)
-            u = T.add(u, self._attn(base, self._ln(f"{base}.ln1", u, c), c, n))
-            u = T.add(u, self._ffn(base, self._ln(f"{base}.ln2", u, c)))
+            u = T.add(u, self._attn(base, self._ln(f"{base}.ln1", u)))
+            u = T.add(u, self._ffn(base, self._ln(f"{base}.ln2", u)))
             produced.append(u)
         return produced[-1]
 
@@ -253,7 +252,7 @@ class RestorationNet:
         for level in range(1, cfg.levels):
             c = cfg.channels_at(level)
             m = self._group(f"enc{level}", cfg.level_layers[level - 1],
-                            T.reshape(cur, (c, ch * cw)), c, ch * cw)
+                            T.reshape(cur, (c, ch * cw)))
             cur = T.reshape(m, (c, ch, cw))
             feats.append(FeatureMap(cur))
             skips.append(cur)
@@ -263,8 +262,7 @@ class RestorationNet:
             cur = T.reshape(self._pw(f"down{level}.pw",
                                      T.reshape(cur, (c, ch * cw))), (2 * c, ch, cw))
         c_lat = cfg.channels_at(cfg.levels)
-        m = self._group("lat", cfg.level_layers[-1],
-                        T.reshape(cur, (c_lat, ch * cw)), c_lat, ch * cw)
+        m = self._group("lat", cfg.level_layers[-1], T.reshape(cur, (c_lat, ch * cw)))
         cur = T.reshape(m, (c_lat, ch, cw))
         feats.append(FeatureMap(cur))
         for level in range(cfg.levels - 1, 0, -1):
@@ -276,7 +274,7 @@ class RestorationNet:
             cat = T.concat([T.reshape(cur, (2 * c, ch * cw)),
                             T.reshape(skips[level - 1], (c, ch * cw))], axis=0)
             m = self._pw(f"up{level}.fuse", cat)
-            m = self._group(f"dec{level}", cfg.level_layers[level - 1], m, c, ch * cw)
+            m = self._group(f"dec{level}", cfg.level_layers[level - 1], m)
             cur = T.reshape(m, (c, ch, cw))
             feats.append(FeatureMap(cur))
         correction = T.conv2d(cur, self._p("final.w"), self._p("final.b"))

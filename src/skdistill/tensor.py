@@ -1,9 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The graph is implicit: every op wires its output to the grad-requiring
-inputs and attaches a closure that pushes the output gradient back.
-Creation order gives a topological order, so `backward` sweeps nodes in
-exact reverse creation order, which keeps runs bitwise reproducible.
+The graph is implicit. Every op computes its output array and a closure
+that pushes the output gradient back, and hands both to `_node`, the one
+place that wires a node: its parents are the inputs with
+`requires_grad`, and the closure is kept only when there is at least one.
+An op whose inputs are all frozen returns a constant with no parents and
+no closure, so forward-only passes (evaluation, the frozen teacher) build
+no graph. Creation order gives a topological order, so `backward` sweeps
+nodes in exact reverse creation order, which keeps runs bitwise
+reproducible.
 
 Multiply-accumulate counts (for the complexity accounting) are recorded
 only by `matmul`, `linear`, `spatial_attend` and the two convolution ops,
@@ -94,13 +99,6 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False, op="detach")
-
-    def _accum(self, g: np.ndarray) -> None:
-        """Accumulate a gradient the tensor must not take ownership of."""
-        if self.grad is None:
-            self.grad = np.array(g, copy=True)
-        else:
-            self.grad += g
 
     def _accum_owned(self, g: np.ndarray) -> None:
         """Accumulate a freshly allocated (or dead-buffer) gradient.
@@ -198,90 +196,79 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
+def _node(data, op: str, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+    """The output node of an op over `inputs`.
+
+    Its parents are the inputs that need a gradient, and `backward` is kept
+    only when there is one; otherwise the output is a constant. Ops build
+    `backward` before calling this, so it can only close over arrays and
+    inputs: a closure that reaches its own node makes a reference cycle, and
+    the whole graph then waits for the cyclic collector instead of dying
+    with its last reference.
+    """
+    parents = tuple([t for t in inputs if t.requires_grad])  # a list builds faster
+    if not parents:
+        return Tensor(data, op=op)
+    return Tensor(data, requires_grad=True, parents=parents, op=op, backward=backward)
+
+
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    out = Tensor(a.data + b.data, requires_grad=req, parents=parents, op="add")
-    if req:
-        def backward(g):
-            donated = False
-            if a.requires_grad:
-                ga = _unbroadcast(g, a.shape)
-                donated = ga is g
-                a._accum_owned(ga)
-            if b.requires_grad:
-                gb = _unbroadcast(g, b.shape)
-                if gb is g and donated:
-                    b._accum(g)  # the buffer now belongs to a
-                else:
-                    b._accum_owned(gb)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        ga = None
+        if a.requires_grad:
+            ga = _unbroadcast(g, a.shape)
+            a._accum_owned(ga)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.shape)
+            b._accum_owned(gb.copy() if gb is ga else gb)  # `a` owns `g` already
+    return _node(a.data + b.data, "add", (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    out = Tensor(a.data - b.data, requires_grad=req, parents=parents, op="sub")
-    if req:
-        def backward(g):
-            if a.requires_grad:
-                a._accum_owned(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accum_owned(_unbroadcast(-g, b.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_owned(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accum_owned(_unbroadcast(-g, b.shape))
+    return _node(a.data - b.data, "sub", (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    out = Tensor(a.data * b.data, requires_grad=req, parents=parents, op="mul")
-    if req:
-        def backward(g):
-            if a.requires_grad:
-                a._accum_owned(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accum_owned(_unbroadcast(g * a.data, b.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_owned(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accum_owned(_unbroadcast(g * a.data, b.shape))
+    return _node(a.data * b.data, "mul", (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    req = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    out = Tensor(a.data / b.data, requires_grad=req, parents=parents, op="div")
-    if req:
-        def backward(g):
-            if a.requires_grad:
-                a._accum_owned(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_owned(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+    return _node(a.data / b.data, "div", (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(-a.data, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="neg")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(-g)
-    return out
+    return _node(-a.data, "neg", (a,), lambda g: a._accum_owned(-g))
 
 
 def pow_(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
-    out = Tensor(a.data ** p, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="pow")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g * p * a.data ** (p - 1.0))
-    return out
+    return _node(a.data ** p, "pow", (a,),
+                 lambda g: a._accum_owned(g * p * a.data ** (p - 1.0)))
 
 
 def sqrt(a) -> Tensor:
@@ -291,61 +278,38 @@ def sqrt(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    out = Tensor(y, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="exp")
-    if a.requires_grad:
-        # close over the array, not `out`: a closure that reaches its own
-        # node makes a cycle, and the whole graph then waits for the
-        # cyclic collector instead of dying with its last reference
-        out._backward = lambda g: a._accum_owned(g * y)
-    return out
+    return _node(y, "exp", (a,), lambda g: a._accum_owned(g * y))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.log(a.data), requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="log")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g / a.data)
-    return out
+    return _node(np.log(a.data), "log", (a,), lambda g: a._accum_owned(g / a.data))
 
 
 def abs_(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(np.abs(a.data), requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="abs")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g * np.sign(a.data))
-    return out
+    return _node(np.abs(a.data), "abs", (a,), lambda g: a._accum_owned(g * np.sign(a.data)))
 
 
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth, so finite differences stay clean."""
     a = as_tensor(a)
     cdf = 0.5 * (1.0 + erf(a.data * _SQRT1_2))
-    out = Tensor(a.data * cdf, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="gelu")
-    if a.requires_grad:
-        def backward(g):
-            pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-            a._accum_owned(g * (cdf + a.data * pdf))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
+        a._accum_owned(g * (cdf + a.data * pdf))
+    return _node(a.data * cdf, "gelu", (a,), backward)
 
 
 def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims),
-                 requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="sum")
-    if a.requires_grad:
-        def backward(g):
-            gg = g
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accum_owned(np.broadcast_to(gg, a.shape).copy())
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum_owned(np.broadcast_to(g, a.shape).copy())
+    return _node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward)
 
 
 def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -359,41 +323,29 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(a.data.reshape(shape), requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="reshape")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g.reshape(a.shape))
-    return out
+    return _node(a.data.reshape(shape), "reshape", (a,),
+                 lambda g: a._accum_owned(g.reshape(a.shape)))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    out = Tensor(a.data.T, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op="transpose")
-    if a.requires_grad:
-        out._backward = lambda g: a._accum_owned(g.T)
-    return out
+    return _node(a.data.T, "transpose", (a,), lambda g: a._accum_owned(g.T))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of an empty sequence")
-    req = any(t.requires_grad for t in tensors)
-    parents = tuple(t for t in tensors if t.requires_grad)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 requires_grad=req, parents=parents, op="concat")
-    if req:
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def backward(g):
-            for piece, t in zip(np.split(g, splits, axis=axis), tensors):
-                if t.requires_grad:
-                    t._accum_owned(piece)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
+        for piece, t in zip(np.split(g, splits, axis=axis), tensors):
+            if t.requires_grad:
+                t._accum_owned(piece)
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), "concat",
+                 tensors, backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -403,17 +355,13 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     _record_macs(a.shape[0] * a.shape[1] * b.shape[1])
-    req = a.requires_grad or b.requires_grad
-    parents = tuple(p for p in (a, b) if p.requires_grad)
-    out = Tensor(a.data @ b.data, requires_grad=req, parents=parents, op="matmul")
-    if req:
-        def backward(g):
-            if a.requires_grad:
-                a._accum_owned(g @ b.data.T)
-            if b.requires_grad:
-                b._accum_owned(a.data.T @ g)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if a.requires_grad:
+            a._accum_owned(g @ b.data.T)
+        if b.requires_grad:
+            b._accum_owned(a.data.T @ g)
+    return _node(a.data @ b.data, "matmul", (a, b), backward)
 
 
 def _softmax(a, axis: int, op: str) -> Tensor:
@@ -425,15 +373,12 @@ def _softmax(a, axis: int, op: str) -> Tensor:
     y = a.data - a.data.max(axis=axis, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=axis, keepdims=True)
-    out = Tensor(y, requires_grad=a.requires_grad,
-                 parents=(a,) if a.requires_grad else (), op=op)
-    if a.requires_grad:
-        def backward(g):
-            gy = g * y
-            gy -= y * gy.sum(axis=axis, keepdims=True)
-            a._accum_owned(gy)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        gy = g * y
+        gy -= y * gy.sum(axis=axis, keepdims=True)
+        a._accum_owned(gy)
+    return _node(y, op, (a,), backward)
 
 
 def softmax_rows(a) -> Tensor:
@@ -470,29 +415,25 @@ def spatial_attend(t, s, scale: float) -> Tensor:
     np.exp(b, out=b)
     b /= b.sum(axis=0, keepdims=True)
     y = s.data @ b
-    req = t.requires_grad or s.requires_grad
-    parents = tuple(p for p in (t, s) if p.requires_grad)
-    out = Tensor(y, requires_grad=req, parents=parents, op="spatial_attend")
-    if req:
-        def backward(g):
-            # softmax Jacobian: dL = B * (dB - r) with dB = s^T g and r the
-            # column sums of B * dB, which have the (C, N) closed form
-            # sum_c g * y. The subtraction rides in dB's matmul as one extra
-            # row, so dL costs one N x N product and one N x N multiply.
-            lhs = np.vstack([s.data, np.full((1, n), -1.0)])
-            rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
-            dl = lhs.T @ rhs
-            dl *= b
-            if s.requires_grad:
-                gbt = g @ b.T
-                gbt += ts @ dl
-                s._accum_owned(gbt)
-            if t.requires_grad:
-                dt = s.data @ dl.T
-                dt *= scale
-                t._accum_owned(dt)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        # softmax Jacobian: dL = B * (dB - r) with dB = s^T g and r the
+        # column sums of B * dB, which have the (C, N) closed form
+        # sum_c g * y. The subtraction rides in dB's matmul as one extra
+        # row, so dL costs one N x N product and one N x N multiply.
+        lhs = np.vstack([s.data, np.full((1, n), -1.0)])
+        rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
+        dl = lhs.T @ rhs
+        dl *= b
+        if s.requires_grad:
+            gbt = g @ b.T
+            gbt += ts @ dl
+            s._accum_owned(gbt)
+        if t.requires_grad:
+            dt = s.data @ dl.T
+            dt *= scale
+            t._accum_owned(dt)
+    return _node(y, "spatial_attend", (t, s), backward)
 
 
 def linear(w, m, bias) -> Tensor:
@@ -508,19 +449,15 @@ def linear(w, m, bias) -> Tensor:
     _record_macs(w.shape[0] * w.shape[1] * m.shape[1])
     out_data = w.data @ m.data
     out_data += bias.data[:, None]
-    req = w.requires_grad or m.requires_grad or bias.requires_grad
-    parents = tuple(p for p in (w, m, bias) if p.requires_grad)
-    out = Tensor(out_data, requires_grad=req, parents=parents, op="linear")
-    if req:
-        def backward(g):
-            if w.requires_grad:
-                w._accum_owned(g @ m.data.T)
-            if m.requires_grad:
-                m._accum_owned(w.data.T @ g)
-            if bias.requires_grad:
-                bias._accum_owned(g.sum(axis=1))
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if w.requires_grad:
+            w._accum_owned(g @ m.data.T)
+        if m.requires_grad:
+            m._accum_owned(w.data.T @ g)
+        if bias.requires_grad:
+            bias._accum_owned(g.sum(axis=1))
+    return _node(out_data, "linear", (w, m, bias), backward)
 
 
 def layer_norm_channels(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -540,28 +477,34 @@ def layer_norm_channels(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     y = centered * inv_std
     out_data = gamma.data[:, None] * y
     out_data += beta.data[:, None]
-    req = x.requires_grad or gamma.requires_grad or beta.requires_grad
-    parents = tuple(p for p in (x, gamma, beta) if p.requires_grad)
-    out = Tensor(out_data, requires_grad=req, parents=parents, op="layer_norm")
-    if req:
-        def backward(g):
-            if gamma.requires_grad:
-                gamma._accum_owned((g * y).sum(axis=1))
-            if beta.requires_grad:
-                beta._accum_owned(g.sum(axis=1))
-            if x.requires_grad:
-                dy = g * gamma.data[:, None]
-                dx = dy - dy.mean(axis=0, keepdims=True)
-                dx -= y * (dy * y).mean(axis=0, keepdims=True)
-                dx *= inv_std
-                x._accum_owned(dx)
-        out._backward = backward
-    return out
+
+    def backward(g):
+        if gamma.requires_grad:
+            gamma._accum_owned((g * y).sum(axis=1))
+        if beta.requires_grad:
+            beta._accum_owned(g.sum(axis=1))
+        if x.requires_grad:
+            dy = g * gamma.data[:, None]
+            dx = dy - dy.mean(axis=0, keepdims=True)
+            dx -= y * (dy * y).mean(axis=0, keepdims=True)
+            dx *= inv_std
+            x._accum_owned(dx)
+    return _node(out_data, "layer_norm", (x, gamma, beta), backward)
 
 
 def _conv_out_extent(extent: int, stride: int) -> int:
     # kernel 3, zero padding 1
     return (extent + 2 - 3) // stride + 1
+
+
+def _taps(stride: int, h_out: int, w_out: int) -> Iterator[tuple[int, int, tuple]]:
+    """(di, dj, index) for each tap of a 3x3 kernel, row by row; `index`
+    selects the (C, h_out, w_out) window of the padded input that the tap
+    reads, for the patch gather and for the gradient's scatter-add."""
+    for di in range(3):
+        for dj in range(3):
+            yield di, dj, (slice(None), slice(di, di + stride * (h_out - 1) + 1, stride),
+                           slice(dj, dj + stride * (w_out - 1) + 1, stride))
 
 
 def conv2d(x, w, bias, stride: int = 1) -> Tensor:
@@ -580,34 +523,26 @@ def conv2d(x, w, bias, stride: int = 1) -> Tensor:
     h_out, w_out = _conv_out_extent(h, stride), _conv_out_extent(wd, stride)
     xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
     patches = np.empty((c_in, 3, 3, h_out, w_out))
-    for di in range(3):
-        for dj in range(3):
-            patches[:, di, dj] = xp[:, di:di + stride * (h_out - 1) + 1:stride,
-                                    dj:dj + stride * (w_out - 1) + 1:stride]
+    for di, dj, tap in _taps(stride, h_out, w_out):
+        patches[:, di, dj] = xp[tap]
     cols = patches.reshape(c_in * 9, h_out * w_out)
     w_mat = w.data.reshape(c_out, c_in * 9)
     _record_macs(c_out * c_in * 9 * h_out * w_out)
     out_data = (w_mat @ cols + bias.data[:, None]).reshape(c_out, h_out, w_out)
-    req = x.requires_grad or w.requires_grad or bias.requires_grad
-    parents = tuple(p for p in (x, w, bias) if p.requires_grad)
-    out = Tensor(out_data, requires_grad=req, parents=parents, op="conv2d")
-    if req:
-        def backward(g):
-            g_mat = g.reshape(c_out, h_out * w_out)
-            if bias.requires_grad:
-                bias._accum_owned(g_mat.sum(axis=1))
-            if w.requires_grad:
-                w._accum_owned((g_mat @ cols.T).reshape(w.shape))
-            if x.requires_grad:
-                dcols = (w_mat.T @ g_mat).reshape(c_in, 3, 3, h_out, w_out)
-                dxp = np.zeros_like(xp)
-                for di in range(3):
-                    for dj in range(3):
-                        dxp[:, di:di + stride * (h_out - 1) + 1:stride,
-                            dj:dj + stride * (w_out - 1) + 1:stride] += dcols[:, di, dj]
-                x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
-        out._backward = backward
-    return out
+
+    def backward(g):
+        g_mat = g.reshape(c_out, h_out * w_out)
+        if bias.requires_grad:
+            bias._accum_owned(g_mat.sum(axis=1))
+        if w.requires_grad:
+            w._accum_owned((g_mat @ cols.T).reshape(w.shape))
+        if x.requires_grad:
+            dcols = (w_mat.T @ g_mat).reshape(c_in, 3, 3, h_out, w_out)
+            dxp = np.zeros_like(xp)
+            for di, dj, tap in _taps(stride, h_out, w_out):
+                dxp[tap] += dcols[:, di, dj]
+            x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
+    return _node(out_data, "conv2d", (x, w, bias), backward)
 
 
 def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
@@ -626,36 +561,23 @@ def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
     xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
     _record_macs(c * 9 * h_out * w_out)
     out_data = np.broadcast_to(bias.data[:, None, None], (c, h_out, w_out)).copy()
-    views = {}
-    for di in range(3):
-        for dj in range(3):
-            view = xp[:, di:di + stride * (h_out - 1) + 1:stride,
-                      dj:dj + stride * (w_out - 1) + 1:stride]
-            views[di, dj] = view
-            out_data += w.data[:, di, dj, None, None] * view
-    req = x.requires_grad or w.requires_grad or bias.requires_grad
-    parents = tuple(p for p in (x, w, bias) if p.requires_grad)
-    out = Tensor(out_data, requires_grad=req, parents=parents, op="depthwise_conv2d")
-    if req:
-        def backward(g):
-            if bias.requires_grad:
-                bias._accum_owned(g.sum(axis=(1, 2)))
-            if w.requires_grad:
-                dw = np.empty_like(w.data)
-                for di in range(3):
-                    for dj in range(3):
-                        dw[:, di, dj] = (g * views[di, dj]).sum(axis=(1, 2))
-                w._accum_owned(dw)
-            if x.requires_grad:
-                dxp = np.zeros_like(xp)
-                for di in range(3):
-                    for dj in range(3):
-                        dxp[:, di:di + stride * (h_out - 1) + 1:stride,
-                            dj:dj + stride * (w_out - 1) + 1:stride] += \
-                            w.data[:, di, dj, None, None] * g
-                x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
-        out._backward = backward
-    return out
+    for di, dj, tap in _taps(stride, h_out, w_out):
+        out_data += w.data[:, di, dj, None, None] * xp[tap]
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accum_owned(g.sum(axis=(1, 2)))
+        if w.requires_grad:
+            dw = np.empty_like(w.data)
+            for di, dj, tap in _taps(stride, h_out, w_out):
+                dw[:, di, dj] = (g * xp[tap]).sum(axis=(1, 2))
+            w._accum_owned(dw)
+        if x.requires_grad:
+            dxp = np.zeros_like(xp)
+            for di, dj, tap in _taps(stride, h_out, w_out):
+                dxp[tap] += w.data[:, di, dj, None, None] * g
+            x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
+    return _node(out_data, "depthwise_conv2d", (x, w, bias), backward)
 
 
 def upsample2x_nearest(x) -> Tensor:
@@ -663,12 +585,8 @@ def upsample2x_nearest(x) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"upsample2x_nearest expects (C,H,W), got shape {x.shape}")
     c, h, w = x.shape
-    out = Tensor(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2),
-                 requires_grad=x.requires_grad,
-                 parents=(x,) if x.requires_grad else (), op="upsample2x")
-    if x.requires_grad:
-        out._backward = lambda g: x._accum_owned(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
-    return out
+    return _node(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), "upsample2x", (x,),
+                 lambda g: x._accum_owned(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> float:

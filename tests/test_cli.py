@@ -203,6 +203,21 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert "train.loss.tau must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["synth", "--spec", "{cfg}", "--out", "{tmp}/data"],
+        ["train-teacher", "--config", "{cfg}", "--out", "{tmp}/t.skdc"],
+        ["distill", "--config", "{cfg}", "--teacher", "{tmp}/t.skdc", "--out", "{tmp}/s.skdc"],
+    ])
+    def test_negative_noise_sigma_exits_1(self, tiny_run, tmp_path, capsys, command):
+        run, _ = tiny_run
+        blob = run.to_dict()
+        blob["data"]["noise_sigma"] = -0.1
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(blob))
+        argv = [a.format(cfg=path, tmp=tmp_path) for a in command]
+        assert main(argv) == 1
+        assert "noise_sigma must be >= 0" in capsys.readouterr().err
+
     # the objective's kernel distance, temperature and spatial softmax are fixed
     @pytest.mark.parametrize("key, value", [
         ("gk_mode", "per-element-mean"), ("lambda_kind", "sqrt_dim"),
@@ -310,6 +325,7 @@ def argv_pool(tmp_path_factory):
     (root / "bad_utf8.json").write_bytes(b'{"model": "\xff"}')
     (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (root / "unknown.json").write_text('{"train": {"momentum": 0.9}}')
+    (root / "negative_noise.json").write_text('{"data": {"noise_sigma": -0.1}}')
     data = root / "data"
     assert main(["synth", "--spec", str(good), "--out", str(data)]) == 0
     ckpt = root / "net.skdc"
@@ -318,7 +334,7 @@ def argv_pool(tmp_path_factory):
     missing, a_dir = root / "missing", root / "empty"
     a_dir.mkdir()
     configs = [good, root / "bad_utf8.json", root / "deep.json", root / "unknown.json",
-               a_dir, missing]
+               root / "negative_noise.json", a_dir, missing]
     return {"config": [str(p) for p in configs],
             "out": [str(root / "out"), str(good), str(a_dir)],
             "ckpt": [str(ckpt), str(good), str(a_dir), str(missing)],

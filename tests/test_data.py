@@ -45,6 +45,21 @@ class TestCleanCorpus:
         assert base[0].tobytes() != held[0].tobytes()
 
 
+class TestSpecBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("noise_sigma", -0.1),
+        ("blur_sigma", -1e-9),
+        ("rain_density", -0.02),
+        ("rain_length", 0.0),
+        ("rain_length", -9.0),
+        ("noise_sigma", float("nan")),
+        ("rain_length", float("nan")),
+    ])
+    def test_bad_strength_names_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            CorpusSpec(**{field: value})
+
+
 class TestDegrade:
     def test_noise_zero_sigma_is_identity(self):
         spec = CorpusSpec(count=1, patch_size=8, noise_sigma=0.0)

@@ -186,6 +186,73 @@ class TestGraph:
             assert a.tobytes() == b.tobytes()
 
 
+    def test_add_gives_each_input_its_own_buffer(self):
+        # both inputs of `add` take the output gradient unchanged; if they
+        # shared one buffer, x's later accumulation would leak into y
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        y = Tensor(np.zeros((2, 3)), requires_grad=True)
+        m = T.mul(x, 3.0)
+        z = T.add(x, y)
+        T.add(T.sum_(z), T.sum_(m)).backward()
+        assert np.array_equal(x.grad, np.full((2, 3), 4.0))
+        assert np.array_equal(y.grad, np.ones((2, 3)))
+
+
+def _positive(*shape):
+    return rng(5).uniform(0.5, 1.5, size=shape)
+
+
+# every op that builds a graph node, with valid input arrays
+NODE_OPS = {
+    "add": (T.add, [(2, 3), (2, 3)]),
+    "sub": (T.sub, [(2, 3), (2, 3)]),
+    "mul": (T.mul, [(2, 3), (2, 3)]),
+    "div": (T.div, [(2, 3), (2, 3)]),
+    "neg": (T.neg, [(2, 3)]),
+    "pow_": (lambda a: T.pow_(a, 2.0), [(2, 3)]),
+    "exp": (T.exp, [(2, 3)]),
+    "log": (T.log, [(2, 3)]),
+    "abs_": (T.abs_, [(2, 3)]),
+    "gelu": (T.gelu, [(2, 3)]),
+    "sum_": (lambda a: T.sum_(a, axis=1), [(2, 3)]),
+    "reshape": (lambda a: T.reshape(a, (3, 2)), [(2, 3)]),
+    "transpose": (T.transpose, [(2, 3)]),
+    "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    "matmul": (T.matmul, [(2, 3), (3, 4)]),
+    "softmax_rows": (T.softmax_rows, [(2, 3)]),
+    "softmax_cols": (T.softmax_cols, [(2, 3)]),
+    "spatial_attend": (lambda t, s: T.spatial_attend(t, s, 0.5), [(2, 3), (2, 3)]),
+    "linear": (T.linear, [(2, 3), (3, 4), (2,)]),
+    "layer_norm_channels": (T.layer_norm_channels, [(3, 4), (3,), (3,)]),
+    "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
+    "depthwise_conv2d": (T.depthwise_conv2d, [(2, 4, 4), (2, 3, 3), (2,)]),
+    "upsample2x_nearest": (T.upsample2x_nearest, [(2, 2, 3)]),
+}
+
+
+class TestNodeContract:
+    @pytest.mark.parametrize("name", NODE_OPS)
+    def test_frozen_inputs_build_no_graph(self, name):
+        op, shapes = NODE_OPS[name]
+        out = op(*[Tensor(_positive(*shape)) for shape in shapes])
+        assert out.requires_grad is False
+        assert out._parents == ()
+        assert out._backward is None
+
+    @pytest.mark.parametrize("name", NODE_OPS)
+    def test_the_one_trainable_input_is_the_only_parent(self, name):
+        op, shapes = NODE_OPS[name]
+        for trainable in range(len(shapes)):
+            inputs = [Tensor(_positive(*shape), requires_grad=i == trainable)
+                      for i, shape in enumerate(shapes)]
+            out = op(*inputs)
+            assert out.requires_grad is True
+            assert len(out._parents) == 1 and out._parents[0] is inputs[trainable]
+            T.sum_(out).backward()
+            assert [t.grad is not None for t in inputs] == \
+                [i == trainable for i in range(len(inputs))]
+
+
 class TestGraphRelease:
     def test_graph_dies_with_its_loss_without_the_cyclic_collector(self):
         g = rng(7)
