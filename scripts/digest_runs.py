@@ -5,8 +5,11 @@ For `configs/denoise32.json` at 2 epochs, seeds 0 and 3 and contrastive
 temperatures 1e-6 and 0.5, trains a teacher and distills a student
 against it. Each run contributes the sha256 of its checkpoint bytes, of
 its `history` and of its `eval_history`, plus the held-out PSNR and SSIM
-from `evaluate`. A refactor that claims to keep behaviour shows the same
-output before and after:
+from `evaluate`. The `infer` entry is the `evaluate` report (PSNR, SSIM,
+parameters, FLOPs) of a seeded `configs/student_restormer_shaped.json` net
+on four 64x64 RGB derain patches, its zero-initialised `final.w` drawn from
+the seed so that every layer reaches the output. A refactor that claims to
+keep behaviour shows the same output before and after:
 
     PYTHONPATH=src python3 scripts/digest_runs.py > after.json
     diff before.json after.json
@@ -15,14 +18,23 @@ output before and after:
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
-from skdistill.checkpoint import checkpoint_to_bytes
+import numpy as np
+
+from skdistill.checkpoint import Checkpoint, checkpoint_to_bytes
 from skdistill.config import load_run_config
+from skdistill.data import make_samples
+from skdistill.models import build_net
 from skdistill.trainer import distill, evaluate, make_train_heldout, train_teacher
 
-CONFIG = Path(__file__).resolve().parents[1] / "configs" / "denoise32.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIG = CONFIGS / "denoise32.json"
+INFER_CONFIG = CONFIGS / "student_restormer_shaped.json"
+INFER_IMAGES = 4
+INFER_SIZE = 64
 EPOCHS = 2
 SEEDS = (0, 3)
 TAUS = (1e-6, 0.5)
@@ -43,6 +55,21 @@ def _digest(result, heldout) -> dict:
     }
 
 
+def _infer_report(seed: int) -> dict:
+    run = load_run_config(INFER_CONFIG)
+    cfg = run.model
+    spec = dataclasses.replace(run.data, task="derain", channels=cfg.input_channels,
+                               patch_size=INFER_SIZE, count=INFER_IMAGES, base_seed=seed)
+    net = build_net(cfg, seed)
+    final = net.params()["final.w"]
+    final.data = np.random.default_rng(seed).normal(
+        scale=0.01 / math.sqrt(9.0 * final.shape[1]), size=final.shape)
+    ckpt = Checkpoint(meta={"model": cfg.to_dict()},
+                      tensors={f"net.{k}": p.data for k, p in net.params().items()})
+    report = evaluate(ckpt, make_samples(spec))
+    return {k: report[k] for k in ("psnr", "ssim", "params", "flops")}
+
+
 def main() -> int:
     base = load_run_config(CONFIG)
     digests = {}
@@ -56,6 +83,7 @@ def main() -> int:
             student = distill(run, teacher.checkpoint, samples, heldout)
             digests[f"seed{seed}-tau{tau:g}"] = {"teacher": _digest(teacher, heldout),
                                                  "distill": _digest(student, heldout)}
+    digests["infer"] = {f"seed{seed}": _infer_report(seed) for seed in SEEDS}
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
-from .data import Sample, make_samples, read_image, write_image
+from .data import TASKS, Sample, make_samples, read_image, write_image
 from .errors import ConfigError, SkdError
 from .gradsuite import DEFAULT_TOL, run_gradcheck_suite, total_trials
 from .models import count_params_flops
@@ -78,6 +78,12 @@ def _read_manifest(root: Path) -> dict:
         raise ConfigError(f"{path}: count must be a positive integer, got {count!r}")
     if manifest["channels"] not in (1, 3):
         raise ConfigError(f"{path}: channels must be 1 or 3, got {manifest['channels']!r}")
+    if manifest["task"] not in TASKS:
+        raise ConfigError(f"{path}: task must be one of {TASKS}, got {manifest['task']!r}")
+    base_seed = manifest["base_seed"]
+    if type(base_seed) is not int or base_seed < 0:
+        raise ConfigError(
+            f"{path}: base_seed must be a non-negative integer, got {base_seed!r}")
     return manifest
 
 

@@ -274,8 +274,7 @@ def _loss_checks(rng) -> list[CheckResult]:
         negs = [phi(Tensor(r.normal(size=(1, 8, 8))))]
 
         def fn(x):
-            s_f, s_fc, s_ft, t_f = cross_net_features(t_raw, FeatureMap(x), p_t, p_s)
-            gk = gk_feature_loss([s_f], [s_fc], [s_ft], [t_f], w)
+            gk = gk_feature_loss([cross_net_features(t_raw, FeatureMap(x), p_t, p_s)], w)
             image = T.reshape(T.matmul(T.reshape(x, (1, 8)), mix), (1, 8, 8))
             rec = reconstruction_loss(image, target)
             cl = contrastive_loss_from_features(phi(image), pos, negs, w.tau)

@@ -64,20 +64,15 @@ def gk_block_loss(s_f: FeatureMap, s_fc: FeatureMap, s_ft: FeatureMap,
     return T.add(gk(s_f, t_f), T.mul(mixed, w.alpha1))
 
 
-def gk_feature_loss(s_f: Sequence[FeatureMap], s_fc: Sequence[FeatureMap],
-                    s_ft: Sequence[FeatureMap], t_f: Sequence[FeatureMap],
+def gk_feature_loss(blocks: Sequence[tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]],
                     w: LossWeights) -> Tensor:
-    """Sum of per-block kernel losses over all distilled blocks."""
-    lengths = {len(s_f), len(s_fc), len(s_ft), len(t_f)}
-    if len(lengths) != 1:
-        raise ConfigError(
-            f"feature list lengths differ: s_f={len(s_f)} s_fc={len(s_fc)} "
-            f"s_ft={len(s_ft)} t_f={len(t_f)}")
-    if not s_f:
+    """Sum of per-block kernel losses over the distilled blocks, in order;
+    each block is the `(s_f, s_fc, s_ft, t_f)` of `cross_net_features`."""
+    if not blocks:
         raise ConfigError("gk_feature_loss needs at least one block")
-    total = gk_block_loss(s_f[0], s_fc[0], s_ft[0], t_f[0], w)
-    for i in range(1, len(s_f)):
-        total = T.add(total, gk_block_loss(s_f[i], s_fc[i], s_ft[i], t_f[i], w))
+    total = gk_block_loss(*blocks[0], w)
+    for block in blocks[1:]:
+        total = T.add(total, gk_block_loss(*block, w))
     return total
 
 

@@ -16,7 +16,11 @@ with given arrays (a checkpoint), drawing nothing.
 
 `count_params_flops` walks the same layout arithmetically and must agree
 exactly with an instrumented forward trace (1 MAC = 2 FLOPs; only matmuls
-and convolutions count).
+and convolutions count). Each spec carries the level at whose resolution
+it is applied, N = (h >> level-1) * (w >> level-1) pixels. A weight (2 or
+more dimensions) costs its size x N MACs, and each channel self-attention
+adds q k^T and A v, 2 C^2 N = 2 x size(attn.q.w) x N; biases and norms
+are free.
 """
 
 from __future__ import annotations
@@ -70,6 +74,12 @@ class ModelConfig(DictConfig):
     def spatial_divisor(self) -> int:
         return 2 ** (self.levels - 1)
 
+    def tap_channels(self) -> list[int]:
+        """Widths of the feature taps in `forward_with_features` order: the
+        encoder levels, the latent, then the decoder levels."""
+        encoder = [self.channels_at(level) for level in range(1, self.levels + 1)]
+        return encoder + encoder[-2::-1]
+
 
 def compress_config(teacher: ModelConfig, layer_scale: list[int],
                     channels: int) -> ModelConfig:
@@ -95,6 +105,7 @@ class ParamSpec(NamedTuple):
     shape: tuple[int, ...]
     init: str          # "normal" (draw with std `scale`), "zeros" or "ones"
     scale: float = 0.0
+    level: int = 1     # 1-based level at whose resolution it is applied
 
 
 def _conv3x3(name: str, c_in: int, c_out: int, zero: bool = False) -> Iterator[ParamSpec]:
@@ -105,14 +116,14 @@ def _conv3x3(name: str, c_in: int, c_out: int, zero: bool = False) -> Iterator[P
     yield ParamSpec(f"{name}.b", (c_out,), "zeros")
 
 
-def _dw3x3(name: str, c: int) -> Iterator[ParamSpec]:
-    yield ParamSpec(f"{name}.w", (c, 3, 3), "normal", 1.0 / 3.0)
-    yield ParamSpec(f"{name}.b", (c,), "zeros")
+def _dw3x3(name: str, c: int, level: int) -> Iterator[ParamSpec]:
+    yield ParamSpec(f"{name}.w", (c, 3, 3), "normal", 1.0 / 3.0, level)
+    yield ParamSpec(f"{name}.b", (c,), "zeros", level=level)
 
 
-def _pw(name: str, c_in: int, c_out: int) -> Iterator[ParamSpec]:
-    yield ParamSpec(f"{name}.w", (c_out, c_in), "normal", 1.0 / math.sqrt(c_in))
-    yield ParamSpec(f"{name}.b", (c_out,), "zeros")
+def _pw(name: str, c_in: int, c_out: int, level: int) -> Iterator[ParamSpec]:
+    yield ParamSpec(f"{name}.w", (c_out, c_in), "normal", 1.0 / math.sqrt(c_in), level)
+    yield ParamSpec(f"{name}.b", (c_out,), "zeros", level=level)
 
 
 def _ln(name: str, c: int) -> Iterator[ParamSpec]:
@@ -120,16 +131,16 @@ def _ln(name: str, c: int) -> Iterator[ParamSpec]:
     yield ParamSpec(f"{name}.b", (c,), "zeros")
 
 
-def _group(prefix: str, blocks: int, c: int) -> Iterator[ParamSpec]:
+def _group(prefix: str, blocks: int, c: int, level: int) -> Iterator[ParamSpec]:
     for j in range(blocks):
         base = f"{prefix}.b{j}"
-        yield from _pw(f"{base}.fuse", (j + 1) * c, c)
+        yield from _pw(f"{base}.fuse", (j + 1) * c, c, level)
         yield from _ln(f"{base}.ln1", c)
         for head in ("q", "k", "v", "o"):
-            yield from _pw(f"{base}.attn.{head}", c, c)
+            yield from _pw(f"{base}.attn.{head}", c, c, level)
         yield from _ln(f"{base}.ln2", c)
-        yield from _pw(f"{base}.ffn.w1", c, FFN_EXPANSION * c)
-        yield from _pw(f"{base}.ffn.w2", FFN_EXPANSION * c, c)
+        yield from _pw(f"{base}.ffn.w1", c, FFN_EXPANSION * c, level)
+        yield from _pw(f"{base}.ffn.w2", FFN_EXPANSION * c, c, level)
 
 
 def param_layout(cfg: ModelConfig) -> Iterator[ParamSpec]:
@@ -138,15 +149,15 @@ def param_layout(cfg: ModelConfig) -> Iterator[ParamSpec]:
     yield from _conv3x3("embed", cfg.input_channels, c1)
     for level in range(1, cfg.levels):
         c = cfg.channels_at(level)
-        yield from _group(f"enc{level}", cfg.level_layers[level - 1], c)
-        yield from _dw3x3(f"down{level}.dw", c)
-        yield from _pw(f"down{level}.pw", c, 2 * c)
-    yield from _group("lat", cfg.level_layers[-1], cfg.channels_at(cfg.levels))
+        yield from _group(f"enc{level}", cfg.level_layers[level - 1], c, level)
+        yield from _dw3x3(f"down{level}.dw", c, level + 1)
+        yield from _pw(f"down{level}.pw", c, 2 * c, level + 1)
+    yield from _group("lat", cfg.level_layers[-1], cfg.channels_at(cfg.levels), cfg.levels)
     for level in range(cfg.levels - 1, 0, -1):
         c = cfg.channels_at(level)
-        yield from _dw3x3(f"up{level}.dw", 2 * c)
-        yield from _pw(f"up{level}.fuse", 3 * c, c)
-        yield from _group(f"dec{level}", cfg.level_layers[level - 1], c)
+        yield from _dw3x3(f"up{level}.dw", 2 * c, level)
+        yield from _pw(f"up{level}.fuse", 3 * c, c, level)
+        yield from _group(f"dec{level}", cfg.level_layers[level - 1], c, level)
     yield from _conv3x3("final", c1, cfg.input_channels, zero=True)
 
 
@@ -292,33 +303,12 @@ def build_net(cfg: ModelConfig, seed: int) -> RestorationNet:
                           requires_grad=True)
 
 
-def feature_tap_count(cfg: ModelConfig) -> int:
-    """Encoder taps (levels, latent included) plus decoder taps."""
-    return 2 * cfg.levels - 1
-
-
 # -- analytic accounting ------------------------------------------------------
 
 
-def _group_costs(blocks: int, c: int, n: int) -> tuple[int, int]:
-    params = 0
-    macs = 0
-    for j in range(blocks):
-        params += ((j + 1) * c * c + c)            # fuse
-        params += 2 * c                            # ln1
-        params += 4 * (c * c + c)                  # q, k, v, o
-        params += 2 * c                            # ln2
-        params += (c * FFN_EXPANSION * c + FFN_EXPANSION * c)
-        params += (FFN_EXPANSION * c * c + c)
-        macs += (j + 1) * c * c * n                # fuse
-        macs += 4 * c * c * n                      # q, k, v, o
-        macs += 2 * c * c * n                      # q k^T and A v
-        macs += 2 * FFN_EXPANSION * c * c * n      # ffn in + out
-    return params, macs
-
-
 def count_params_flops(cfg: ModelConfig, h: int, w: int) -> tuple[int, int]:
-    """Closed-form parameter and FLOP counts for a forward pass at (h, w).
+    """Parameter and FLOP counts of a forward pass at (h, w), summed over
+    `param_layout` under the MAC rule of the module docstring.
 
     Matches the instrumented trace of `forward_with_features` exactly under
     the 2-FLOPs-per-MAC convention.
@@ -328,33 +318,14 @@ def count_params_flops(cfg: ModelConfig, h: int, w: int) -> tuple[int, int]:
         raise ShapeError(f"extents {h}x{w} must be positive multiples of {div}")
     params = 0
     macs = 0
-    c1 = cfg.base_channels
-    params += 9 * cfg.input_channels * c1 + c1
-    macs += 9 * cfg.input_channels * c1 * h * w
-    ch, cw = h, w
-    for level in range(1, cfg.levels):
-        c = cfg.channels_at(level)
-        p, m = _group_costs(cfg.level_layers[level - 1], c, ch * cw)
-        params += p
-        macs += m
-        ch, cw = ch // 2, cw // 2
-        params += (9 * c + c) + (c * 2 * c + 2 * c)
-        macs += 9 * c * ch * cw + c * 2 * c * ch * cw
-    c_lat = cfg.channels_at(cfg.levels)
-    p, m = _group_costs(cfg.level_layers[-1], c_lat, ch * cw)
-    params += p
-    macs += m
-    for level in range(cfg.levels - 1, 0, -1):
-        c = cfg.channels_at(level)
-        ch, cw = ch * 2, cw * 2
-        n = ch * cw
-        params += (9 * 2 * c + 2 * c) + (3 * c * c + c)
-        macs += 9 * 2 * c * n + 3 * c * c * n
-        p, m = _group_costs(cfg.level_layers[level - 1], c, n)
-        params += p
-        macs += m
-    params += 9 * c1 * cfg.input_channels + cfg.input_channels
-    macs += 9 * c1 * cfg.input_channels * h * w
+    for spec in param_layout(cfg):
+        size = math.prod(spec.shape)
+        params += size
+        if len(spec.shape) >= 2:
+            n = (h >> spec.level - 1) * (w >> spec.level - 1)
+            macs += size * n
+            if spec.name.endswith(".attn.q.w"):
+                macs += 2 * size * n       # q k^T and A v
     return params, 2 * macs
 
 

@@ -33,8 +33,7 @@ from .losses import (
     total_loss,
 )
 from .metrics import psnr, ssim
-from .models import ModelConfig, RestorationNet, build_net, compress_config, \
-    count_params_flops, feature_tap_count
+from .models import ModelConfig, RestorationNet, build_net, compress_config, count_params_flops
 from .seeding import derive_seed, rng_for
 from .tensor import Tensor
 
@@ -144,18 +143,6 @@ def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
     return Checkpoint(step=step, meta=meta, tensors=tensors)
 
 
-class _EmaTracker:
-    """Exponential moving average of the per-step loss (decay 0.9)."""
-
-    def __init__(self, decay: float = 0.9):
-        self.decay = decay
-        self.value: float | None = None
-
-    def update(self, x: float) -> float:
-        self.value = x if self.value is None else self.decay * self.value + (1 - self.decay) * x
-        return self.value
-
-
 def _batch_step(objective, batch: list[Sample], params: list[Tensor],
                 w: LossWeights, step: int) -> tuple[float, dict, list[np.ndarray]]:
     """Loss, its components and the parameter gradients of one batch.
@@ -219,7 +206,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
     total_steps = cfg.epochs * batches_per_epoch
     history: list[dict] = []
     eval_history: list[dict] = []
-    ema = _EmaTracker()
+    ema: float | None = None  # moving average of the step loss, decay 0.9
     step = 0
     abort_reason = ""
     for epoch in range(cfg.epochs):
@@ -235,8 +222,9 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
                 adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
                           cfg.adam_eps)
                 step += 1
-                record = {"step": step, "lr": lr, "loss": loss_value,
-                          "ema": ema.update(loss_value)}
+                # 1 - 0.9 rounds to just below 0.1; writing 0.1 would change the ema bits
+                ema = loss_value if ema is None else 0.9 * ema + (1 - 0.9) * loss_value
+                record = {"step": step, "lr": lr, "loss": loss_value, "ema": ema}
                 record.update(components)
                 history.append(record)
                 # the last step is always scored; an aborted run never gets there
@@ -275,12 +263,6 @@ def train_teacher(run: RunConfig,
     return train_restoration(run.model, run, "teacher", train_samples, heldout)
 
 
-def _tap_channels(cfg: ModelConfig) -> list[int]:
-    enc = [cfg.channels_at(l) for l in range(1, cfg.levels + 1)]
-    dec = [cfg.channels_at(l) for l in range(cfg.levels - 1, 0, -1)]
-    return enc + dec
-
-
 def load_net(ckpt: Checkpoint) -> RestorationNet:
     """The checkpointed net, frozen; parameters come from the 'net.' tensors."""
     model = ckpt.meta.get("model") if isinstance(ckpt.meta, dict) else None
@@ -306,15 +288,15 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
     w = run.train.loss
     student = build_net(run.student_model, derive_seed(run.train.seed, "student"))
     d_u = run.student_model.unified_dim
-    taps = list(range(feature_tap_count(run.student_model)))
+    t_channels = teacher.cfg.tap_channels()
+    s_channels = run.student_model.tap_channels()
+    taps = list(range(len(s_channels)))
     if run.train.distill_blocks is not None:
         bad = [i for i in run.train.distill_blocks if i not in taps]
         if bad:
             raise ConfigError(f"distill_blocks {bad} outside tap range {taps[-1]}")
         taps = list(run.train.distill_blocks)
     proj_rng = rng_for(run.train.seed, "projectors")
-    t_channels = _tap_channels(teacher.cfg)
-    s_channels = _tap_channels(run.student_model)
     projectors: dict[int, tuple[Projector, Projector]] = {}
     extra_params: dict[str, Tensor] = {}
     for i in taps:
@@ -342,15 +324,8 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
             if use_gk or use_cl:
                 t_out, t_feats = teacher.forward_with_features(x)
             if use_gk:
-                s_fs, s_fcs, s_fts, t_fs = [], [], [], []
-                for i in taps:
-                    p_t, p_s = projectors[i]
-                    s_f, s_fc, s_ft, t_f = cross_net_features(t_feats[i], s_feats[i], p_t, p_s)
-                    s_fs.append(s_f)
-                    s_fcs.append(s_fc)
-                    s_fts.append(s_ft)
-                    t_fs.append(t_f)
-                gk = gk_feature_loss(s_fs, s_fcs, s_fts, t_fs, w)
+                gk = gk_feature_loss([cross_net_features(t_feats[i], s_feats[i], *projectors[i])
+                                      for i in taps], w)
             if use_cl:
                 cl = contrastive_loss_from_features(
                     phi(s_out), phi(t_out.detach()), negatives, w.tau)

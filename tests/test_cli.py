@@ -244,6 +244,24 @@ class TestBoundaryErrors:
         assert code == 1
         assert key in err
 
+    # a bad value must not reach the report: the checkpoint here is a working one
+    @pytest.mark.parametrize("key, value", [
+        ("task", "deblurr"), ("task", 7),
+        ("base_seed", -1), ("base_seed", "x"), ("base_seed", True),
+    ])
+    def test_manifest_bad_value(self, tiny_run, dataset, tmp_path, capsys, key, value):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest[key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert key in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_manifest_not_json(self, dataset, tmp_path, capsys):
         data, ckpt = dataset
         (data / "manifest.json").write_text("{count: 8")

@@ -111,7 +111,7 @@ class TestGkFeatureLoss:
         assert np.allclose(s_fc.values.data, s.values.data)
         assert np.allclose(s_ft.values.data, s.values.data)
         w = LossWeights()
-        assert gk_feature_loss([s], [s_fc], [s_ft], [t], w).item() == 0.0
+        assert gk_feature_loss([(s, s_fc, s_ft, t)], w).item() == 0.0
 
     def test_hand_case_matches_scalar_pipeline(self):
         t_rows = [[1.0, 0.0], [0.0, 1.0]]
@@ -121,7 +121,7 @@ class TestGkFeatureLoss:
         t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
         s_fc = channel_cross_attention(t, s)
         s_ft = spatial_cross_attention(t, s)
-        got = gk_feature_loss([s], [s_fc], [s_ft], [t], w).item()
+        got = gk_feature_loss([(s, s_fc, s_ft, t)], w).item()
 
         fc_rows, _ = brute_force_channel(t_rows, s_rows, lam)
         ft_rows, _ = brute_force_spatial(t_rows, s_rows, lam)
@@ -135,13 +135,12 @@ class TestGkFeatureLoss:
         t = fmap(np.zeros((1, 1, 1)))
         s = fmap(np.ones((1, 1, 1)))
         one = gk_block_loss(s, s, s, t, w).item()
-        total = gk_feature_loss([s, s], [s, s], [s, s], [t, t], w).item()
+        total = gk_feature_loss([(s, s, s, t), (s, s, s, t)], w).item()
         assert abs(total - 2.0 * one) < 1e-12
 
-    def test_block_count_mismatch(self):
-        t = fmap(np.zeros((1, 1, 1)))
-        with pytest.raises(ConfigError):
-            gk_feature_loss([t], [t], [t], [t, t], LossWeights())
+    def test_no_blocks(self):
+        with pytest.raises(ConfigError, match="at least one block"):
+            gk_feature_loss([], LossWeights())
 
 
 class TestContrastiveLoss:

@@ -13,7 +13,6 @@ from skdistill.models import (
     build_net,
     compress_config,
     count_params_flops,
-    feature_tap_count,
     reduction_percentages,
 )
 from skdistill.tensor import Tensor
@@ -164,7 +163,7 @@ class TestForward:
         cfg = ModelConfig([1, 1, 1], base_channels=4, unified_dim=4, input_channels=1)
         net = build_net(cfg, 1)
         _, feats = net.forward_with_features(Tensor(np.zeros((1, 16, 16))))
-        assert len(feats) == feature_tap_count(cfg) == 5
+        assert [f.channels for f in feats] == cfg.tap_channels() == [4, 8, 16, 8, 4]
         encoder_shapes = [f.values.shape for f in feats[:3]]
         assert encoder_shapes == [(4, 16, 16), (8, 8, 8), (16, 4, 4)]
         decoder_shapes = [f.values.shape for f in feats[3:]]
@@ -189,7 +188,7 @@ class TestForward:
         x = Tensor(g.uniform(-1, 1, size=(cfg.input_channels, size, size)))
         out, feats = net.forward_with_features(x)
         assert out.shape == x.shape
-        assert len(feats) == feature_tap_count(cfg)
+        assert [f.channels for f in feats] == cfg.tap_channels()
 
     def test_forward_is_bitwise_deterministic(self):
         cfg = small_cfg(level_layers=[1, 2], base_channels=6)
@@ -234,13 +233,40 @@ class TestAccounting:
                           base_channels=int(g.integers(2, 7)),
                           unified_dim=4,
                           input_channels=int(g.choice([1, 3])))
-        size = cfg.spatial_divisor * int(g.integers(2, 5))
+        # h != w, so a count that mixes up the two extents fails
+        h, w = cfg.spatial_divisor * g.choice(np.arange(2, 6), size=2, replace=False)
         net = build_net(cfg, seed)
-        params_analytic, flops_analytic = count_params_flops(cfg, size, size)
+        params_analytic, flops_analytic = count_params_flops(cfg, int(h), int(w))
         assert params_analytic == net.param_count()
         with T.count_macs() as counter:
-            net.forward_with_features(Tensor(np.zeros((cfg.input_channels, size, size))))
+            net.forward_with_features(Tensor(np.zeros((cfg.input_channels, h, w))))
         assert flops_analytic == counter.flops
+
+    # taken from the hand-unrolled count that preceded the layout walk; the
+    # pairs are those of scripts/show_compression.py
+    @pytest.mark.parametrize("teacher, scale, channels, counts", [
+        (ModelConfig([4, 6, 6, 8], 48, 48, 3), [1, 2, 2, 4], 32,
+         (21_636_771, 3_688_131, 41_702_031_360, 5_949_030_400)),
+        (ModelConfig([1, 2, 8, 8], 32, 32, 3), [1, 2, 4, 4], 16,
+         (10_174_147, 1_121_379, 14_404_747_264, 1_963_687_936)),
+        (ModelConfig([4, 4, 6, 6, 8], 48, 48, 3), [2, 2, 2, 2, 4], 32,
+         (86_562_339, 14_817_987, 49_520_001_024, 8_417_935_360)),
+    ], ids=["restormer-shaped", "uformer-shaped", "drsformer-shaped"])
+    def test_reference_pairs_are_pinned(self, teacher, scale, channels, counts):
+        student = compress_config(teacher, scale, channels)
+        tp, tf = count_params_flops(teacher, 128, 128)
+        sp, sf = count_params_flops(student, 128, 128)
+        assert (tp, sp, tf, sf) == counts
+
+    @pytest.mark.parametrize("section, size, counts", [
+        ("model", 32, (16_705, 20_389_888)),
+        ("model", 64, (16_705, 81_559_552)),
+        ("student_model", 32, (4_577, 5_410_816)),
+        ("student_model", 64, (4_577, 21_643_264)),
+    ])
+    def test_denoise32_counts_are_pinned(self, section, size, counts):
+        cfg = getattr(load_run_config(CONFIGS / "denoise32.json"), section)
+        assert count_params_flops(cfg, size, size) == counts
 
     def test_reference_reduction_window(self):
         teacher = ModelConfig([4, 6, 6, 8], 48, 48, 1)
