@@ -121,8 +121,9 @@ def spatial_attention_matrix(t: FeatureMap, s: FeatureMap) -> Tensor:
 
     Column normalization makes each output column of S @ B a convex
     combination of student pixel columns, mirroring the channel case.
-    This is the composite reference; `spatial_cross_attention` runs the same
-    math as one fused op and never materialises the logits on the graph.
+    This is the composite reference for tests, and it holds N x N arrays;
+    `spatial_cross_attention` runs the same math as one blocked op that
+    never holds one (`tensor.spatial_attend`).
     """
     # scale the (C, N) operand rather than the (N, N) logits: same math,
     # one full pass over the big matrix saved in each direction

@@ -106,6 +106,23 @@ def _elementwise_checks(rng) -> list[CheckResult]:
     return results
 
 
+def _spatial_attend_cases(width):
+    """Trials of `spatial_attend` on (2, width(r)) matrices, t and s in turn."""
+    inputs = itertools.cycle(("t", "s"))
+
+    def case(r):
+        shape = (2, width(r))
+        other = Tensor(r.normal(size=shape))
+        target = Tensor(r.normal(size=shape))
+        scale = float(r.uniform(0.3, 1.5))
+        if next(inputs) == "t":
+            fn = lambda x: T.spatial_attend(x, other, scale)
+        else:
+            fn = lambda x: T.spatial_attend(other, x, scale)
+        return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(size=shape))
+    return case
+
+
 def _structural_checks(rng) -> list[CheckResult]:
     results = []
 
@@ -147,18 +164,7 @@ def _structural_checks(rng) -> list[CheckResult]:
         return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(scale=3.0, size=(3, 4)))
     results.append(_run("softmax rows/cols", 8, rng, softmax_case))
 
-    inputs = itertools.cycle(("t", "s"))   # both inputs in turn
-
-    def spatial_attend_case(r):
-        other = Tensor(r.normal(size=(2, 3)))
-        target = Tensor(r.normal(size=(2, 3)))
-        scale = float(r.uniform(0.3, 1.5))
-        if next(inputs) == "t":
-            fn = lambda x: T.spatial_attend(x, other, scale)
-        else:
-            fn = lambda x: T.spatial_attend(other, x, scale)
-        return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(size=(2, 3)))
-    results.append(_run("spatial_attend (t/s)", 8, rng, spatial_attend_case))
+    results.append(_run("spatial_attend (t/s)", 8, rng, _spatial_attend_cases(lambda r: 3)))
 
     def ln_case(r):
         gamma = Tensor(r.uniform(0.5, 1.5, size=3))
@@ -305,6 +311,12 @@ def _model_checks(rng) -> list[CheckResult]:
     return [_run("restoration net parameter slice", 2, rng, net_case)]
 
 
+def _multi_block_checks(rng) -> list[CheckResult]:
+    # one full block of columns (rows, backward) plus a ragged remainder
+    width = lambda r: T.ATTEND_BLOCK + int(r.integers(1, T.ATTEND_BLOCK))
+    return [_run("spatial_attend (multi-block)", 4, rng, _spatial_attend_cases(width))]
+
+
 def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     """All checks; >= 100 seeded trials across every differentiable op."""
     rng = rng_for(seed, "gradsuite")
@@ -314,6 +326,7 @@ def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     results.extend(_interaction_checks(rng))
     results.extend(_loss_checks(rng))
     results.extend(_model_checks(rng))
+    results.extend(_multi_block_checks(rng))  # last, so the groups above keep their draws
     return results
 
 

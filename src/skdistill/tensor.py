@@ -391,15 +391,24 @@ def softmax_cols(a) -> Tensor:
     return _softmax(a, 0, "softmax_cols")
 
 
+ATTEND_BLOCK = 64  # columns (forward) or rows (backward) of P per block
+
+
 def spatial_attend(t, s, scale: float) -> Tensor:
     """s @ softmax_cols(scale * t^T s) for (C, N) inputs, as one graph node.
 
-    The softmax runs over each column of the (N, N) logits with the same
-    operation sequence as `_softmax`, so the output is bitwise that of the
-    composite `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))`.
-    Only the probability matrix is kept for the backward; the logits and
-    the N x N gradients live for one call each. Records the MACs of the
-    two matmuls it replaces, 2 * C * N^2.
+    No N x N array exists: the forward runs over blocks of ATTEND_BLOCK
+    columns of the logits, and the softmax runs over each column, so every
+    block is exact on its own. A block takes `_softmax`'s operation
+    sequence; with N <= ATTEND_BLOCK there is one block and the output is
+    bitwise that of the composite
+    `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))`, and above
+    it the block products round differently (about 1e-15 relative). The
+    backward keeps only the output and each column's max m and sum z, and
+    recomputes P one block of rows at a time, as FlashAttention does
+    (Dao et al. 2022): P_ij = exp(ts_i . s_j - m_j - log z_j). Memory is
+    O(C N + N ATTEND_BLOCK). Records the MACs of the two matmuls it
+    replaces, 2 * C * N^2; the recompute is not counted.
     """
     t, s = as_tensor(t), as_tensor(s)
     if t.ndim != 2 or t.shape != s.shape:
@@ -410,27 +419,47 @@ def spatial_attend(t, s, scale: float) -> Tensor:
     c, n = s.shape
     _record_macs(2 * c * n * n)
     ts = t.data * scale
-    b = ts.T @ s.data
-    b -= b.max(axis=0, keepdims=True)
-    np.exp(b, out=b)
-    b /= b.sum(axis=0, keepdims=True)
-    y = s.data @ b
+    y = np.empty((c, n))
+    shift = np.empty(n)  # m, then m + log z
+    total = np.empty(n)  # z
+    for j in range(0, n, ATTEND_BLOCK):
+        cols = slice(j, j + ATTEND_BLOCK)
+        p = ts.T @ s.data[:, cols]
+        shift[cols] = p.max(axis=0)
+        p -= shift[cols]
+        np.exp(p, out=p)
+        total[cols] = p.sum(axis=0)
+        p /= total[cols]
+        y[:, cols] = s.data @ p
+    shift += np.log(total)
 
     def backward(g):
-        # softmax Jacobian: dL = B * (dB - r) with dB = s^T g and r the
-        # column sums of B * dB, which have the (C, N) closed form
-        # sum_c g * y. The subtraction rides in dB's matmul as one extra
-        # row, so dL costs one N x N product and one N x N multiply.
-        lhs = np.vstack([s.data, np.full((1, n), -1.0)])
-        rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
-        dl = lhs.T @ rhs
-        dl *= b
-        if s.requires_grad:
-            gbt = g @ b.T
-            gbt += ts @ dl
-            s._accum_owned(gbt)
-        if t.requires_grad:
-            dt = s.data @ dl.T
+        # softmax Jacobian: dL = P * (dP - r) with dP = s^T g and r the
+        # column sums of P * dP, which have the (C, N) closed form
+        # sum_c g * y. The shift and the subtraction each ride in their
+        # matmul as one extra row, so a block of P costs one product and
+        # one exp, and its dL one product and one multiply.
+        minus = np.full((1, n), -1.0)
+        p_lhs, p_rhs = np.vstack([ts, minus]), np.vstack([s.data, shift[None]])
+        d_lhs, d_rhs = np.vstack([s.data, minus]), np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
+        ds = np.empty((c, n)) if s.requires_grad else None
+        dt = np.empty((c, n)) if t.requires_grad else None
+        ds_logits = np.zeros((c, n)) if s.requires_grad else None
+        for i in range(0, n, ATTEND_BLOCK):
+            rows = slice(i, i + ATTEND_BLOCK)
+            p = p_lhs[:, rows].T @ p_rhs
+            np.exp(p, out=p)
+            dl = d_lhs[:, rows].T @ d_rhs
+            dl *= p
+            if ds is not None:
+                ds[:, rows] = g @ p.T
+                ds_logits += ts[:, rows] @ dl
+            if dt is not None:
+                dt[:, rows] = s.data @ dl.T
+        if ds is not None:
+            ds += ds_logits
+            s._accum_owned(ds)
+        if dt is not None:
             dt *= scale
             t._accum_owned(dt)
     return _node(y, "spatial_attend", (t, s), backward)

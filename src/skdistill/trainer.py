@@ -338,9 +338,16 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
 
 
 def evaluate(ckpt: Checkpoint, samples: list[Sample]) -> dict:
-    """Deterministic metrics report for a checkpoint over a sample set."""
+    """Deterministic metrics report for a checkpoint over a sample set.
+
+    The images must share one shape: `params`/`flops` are counted at it."""
     if not samples:
         raise ConfigError("evaluate needs at least one sample")
+    shape = samples[0].clean.shape
+    for i, s in enumerate(samples):
+        if s.clean.shape != shape:
+            raise ConfigError(f"evaluate needs images of one shape: sample {i} is "
+                              f"{s.clean.shape}, sample 0 is {shape}")
     net = load_net(ckpt)
     psnr_scores = []
     ssim_scores = []
@@ -348,7 +355,7 @@ def evaluate(ckpt: Checkpoint, samples: list[Sample]) -> dict:
         restored = _restore(net, s)
         psnr_scores.append(psnr(restored, s.clean, 1.0))
         ssim_scores.append(ssim(restored, s.clean, 1.0))
-    h, w_ = samples[0].clean.shape[1], samples[0].clean.shape[2]
+    _, h, w_ = shape
     params, flops = count_params_flops(net.cfg, h, w_)
     return {
         "task": samples[0].task,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,7 +128,23 @@ class TestSpatialAttention:
 
 
 class TestFusedSpatialAttention:
-    """The fused op against the composite reference it replaces."""
+    """The blocked op against the composite reference it replaces.
+
+    Within one block of columns (N <= ATTEND_BLOCK) the forward is bitwise
+    the composite's; above it the block products round differently, so it
+    is held to 1e-13 relative. Gradients are held to 1e-12 relative.
+    """
+
+    @staticmethod
+    def assert_forward_matches(out, ref_out, n):
+        if n <= T.ATTEND_BLOCK:
+            assert out.tobytes() == ref_out.tobytes()
+        else:
+            assert np.max(np.abs(out - ref_out)) <= 1e-13 * np.max(np.abs(ref_out))
+
+    @staticmethod
+    def assert_grad_matches(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @staticmethod
     def run(fused, shape, seed):
@@ -150,10 +167,50 @@ class TestFusedSpatialAttention:
         shape = (4,) + hw
         out, dt, ds, macs = self.run(True, shape, seed=sum(hw))
         ref_out, ref_dt, ref_ds, ref_macs = self.run(False, shape, seed=sum(hw))
-        assert out.tobytes() == ref_out.tobytes()
+        self.assert_forward_matches(out, ref_out, hw[0] * hw[1])
         for got, want in ((dt, ref_dt), (ds, ref_ds)):
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            self.assert_grad_matches(got, want)
         assert macs == ref_macs == 2 * 4 * (hw[0] * hw[1]) ** 2
+
+    @pytest.mark.parametrize("trainable", ["ts", "t", "s"])
+    @pytest.mark.parametrize("n", [35, T.ATTEND_BLOCK, T.ATTEND_BLOCK + 1, 1000, 1024])
+    @pytest.mark.parametrize("c", [1, 4, 8])
+    def test_blocks_match_composite(self, c, n, trainable):
+        def run(blocked):
+            g = np.random.default_rng(c * n)
+            t = Tensor(g.normal(size=(c, n)), requires_grad="t" in trainable)
+            s = Tensor(g.normal(size=(c, n)), requires_grad="s" in trainable)
+            weight = Tensor(g.normal(size=(c, n)))
+            scale = 1.0 / math.sqrt(c)
+            if blocked:
+                out = T.spatial_attend(t, s, scale)
+            else:
+                logits = T.matmul(T.transpose(T.mul(t, scale)), s)
+                out = T.matmul(s, T.softmax_cols(logits))
+            T.sum_(T.mul(out, weight)).backward()
+            return out.data, t.grad, s.grad
+
+        out, dt, ds = run(True)
+        ref_out, ref_dt, ref_ds = run(False)
+        self.assert_forward_matches(out, ref_out, n)
+        for name, got, want in (("t", dt, ref_dt), ("s", ds, ref_ds)):
+            if name in trainable:
+                self.assert_grad_matches(got, want)
+            else:
+                assert got is None
+
+    def test_memory_is_far_below_one_n_by_n_matrix(self):
+        c, n = 4, 4096
+        g = np.random.default_rng(0)
+        t = Tensor(g.normal(size=(c, n)), requires_grad=True)
+        s = Tensor(g.normal(size=(c, n)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            T.sum_(T.spatial_attend(t, s, 0.5)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n // 8  # 1/8 of one float64 N x N matrix, 16 MiB
 
     def test_rejects_mismatched_operands(self):
         g = np.random.default_rng(0)

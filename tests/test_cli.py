@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from skdistill import cli, gradsuite, tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from skdistill.cli import EXIT_ABORTED, main
 from skdistill.config import RunConfig, TrainConfig, load_run_config, save_run_config
-from skdistill.data import CorpusSpec
+from skdistill.data import CorpusSpec, make_samples, write_image
 from skdistill.errors import ConfigError
 from skdistill.models import ModelConfig, build_net
 from skdistill.trainer import TrainResult
@@ -260,6 +261,22 @@ class TestBoundaryErrors:
         code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
         assert code == 1
         assert key in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_mixed_image_sizes(self, tiny_run, dataset, tmp_path, capsys):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        large = make_samples(replace(run.data, patch_size=64, count=1))[0]
+        write_image(data / "00001_clean.pgm", large.clean)
+        write_image(data / "00001_degraded.pgm", large.degraded)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["count"] = 2
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "sample 1 is (1, 64, 64), sample 0 is (1, 16, 16)" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_manifest_not_json(self, dataset, tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from skdistill import tensor as T, trainer
 from skdistill.checkpoint import Checkpoint, checkpoint_to_bytes
 from skdistill.config import RunConfig, TrainConfig, config_hash
-from skdistill.data import CorpusSpec
+from skdistill.data import CorpusSpec, make_samples
 from skdistill.errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from skdistill.losses import LossWeights
 from skdistill.models import ModelConfig, RestorationNet, build_net
@@ -397,6 +397,16 @@ class TestEvaluate:
                            "config_hash"}
         assert r1["steps"] == res.checkpoint.step
         assert r1["config_hash"] == config_hash(run)
+
+    # params/flops are counted at one extent, so a set of mixed sizes is refused
+    def test_mixed_image_sizes_are_refused(self):
+        run = tiny_run()
+        small = make_samples(run.data)[:1]
+        large = make_samples(CorpusSpec(count=1, patch_size=64, task="denoise",
+                                        noise_sigma=0.1, base_seed=5))
+        with pytest.raises(ConfigError, match=r"sample 1 is \(1, 64, 64\), "
+                                              r"sample 0 is \(1, 16, 16\)"):
+            evaluate(self._identity_ckpt(run), small + large)
 
     # a NaN parameter is refused on load; a finite one that overflows the
     # forward to +inf is refused before the clip would turn it into 1.0
