@@ -4,8 +4,12 @@
 For `configs/denoise32.json` at 2 epochs, seeds 0 and 3 and contrastive
 temperatures 1e-6 and 0.5, trains a teacher and distills a student
 against it. Each run contributes the sha256 of its checkpoint bytes, of
-its `history` and of its `eval_history`, plus the held-out PSNR and SSIM
-from `evaluate`. The `infer` entry is the `evaluate` report (PSNR, SSIM,
+its tensors, of its `history` and of its `eval_history`, plus the held-out
+PSNR and SSIM from `evaluate`. The `tensors` digest covers the step and
+each tensor's name, shape and bytes, in file order, and leaves out the
+meta: a change to the config's shape moves `checkpoint` (through the
+stored config and its hash) but not `tensors`, which moves only when the
+trained bits do. The `infer` entry is the `evaluate` report (PSNR, SSIM,
 parameters, FLOPs) of a seeded `configs/student_restormer_shaped.json` net
 on four 64x64 RGB derain patches, its zero-initialised `final.w` drawn from
 the seed so that every layer reaches the output. A refactor that claims to
@@ -44,10 +48,20 @@ def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _tensors_sha256(ckpt: Checkpoint) -> str:
+    h = hashlib.sha256(str(ckpt.step).encode())
+    for name, arr in ckpt.tensors.items():
+        arr = np.asarray(arr, dtype="<f8")
+        h.update(f"{name}:{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 def _digest(result, heldout) -> dict:
     report = evaluate(result.checkpoint, heldout)
     return {
         "checkpoint": _sha256(checkpoint_to_bytes(result.checkpoint)),
+        "tensors": _tensors_sha256(result.checkpoint),
         "history": _sha256(json.dumps(result.history, sort_keys=True).encode()),
         "eval_history": _sha256(json.dumps(result.eval_history, sort_keys=True).encode()),
         "psnr": report["psnr"],

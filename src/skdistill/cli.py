@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, load_run_config
+from .config import RunConfig, load_run_config, read_json_file
 from .data import TASKS, Sample, make_samples, read_image, write_image
 from .errors import ConfigError, SkdError
 from .gradsuite import DEFAULT_TOL, run_gradcheck_suite, total_trials
@@ -64,10 +64,7 @@ def cmd_synth(args) -> int:
 
 def _read_manifest(root: Path) -> dict:
     path = root / "manifest.json"
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    manifest = read_json_file(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path} must hold a JSON object")
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
@@ -76,8 +73,9 @@ def _read_manifest(root: Path) -> dict:
     count = manifest["count"]
     if type(count) is not int or count < 1:
         raise ConfigError(f"{path}: count must be a positive integer, got {count!r}")
-    if manifest["channels"] not in (1, 3):
-        raise ConfigError(f"{path}: channels must be 1 or 3, got {manifest['channels']!r}")
+    channels = manifest["channels"]
+    if type(channels) is not int or channels not in (1, 3):
+        raise ConfigError(f"{path}: channels must be 1 or 3, got {channels!r}")
     if manifest["task"] not in TASKS:
         raise ConfigError(f"{path}: task must be one of {TASKS}, got {manifest['task']!r}")
     base_seed = manifest["base_seed"]

@@ -19,19 +19,18 @@ from .models import ModelConfig
 
 @dataclass
 class TrainConfig:
-    """Optimization knobs shared by teacher training and distillation."""
+    """Optimization knobs shared by teacher training and distillation.
+
+    Adam's beta1, beta2 and eps are the constants in `trainer`, and
+    distillation covers every feature tap; neither is configured here."""
 
     epochs: int = 10
     batch_size: int = 8
     lr_max: float = 2e-4
     lr_min: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
     eval_interval: int = 200
     loss: LossWeights = field(default_factory=LossWeights)
-    distill_blocks: list[int] | None = None
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -45,17 +44,6 @@ class TrainConfig:
             raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # beta = 1 or eps = 0 divides by zero in the first Adam update
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0:
-            raise ConfigError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.distill_blocks is not None:
-            blocks = self.distill_blocks
-            if not blocks or min(blocks) < 0 or len(set(blocks)) != len(blocks):
-                raise ConfigError(f"distill_blocks must list at least one tap, each >= 0 "
-                                  f"and none twice, got {blocks}")
 
 
 @dataclass
@@ -74,12 +62,17 @@ def config_hash(run: RunConfig) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def load_run_config(path: str | Path) -> RunConfig:
+def read_json_file(path: str | Path):
+    """The parsed JSON value of a UTF-8 file; any decode failure, including
+    nesting too deep for the parser, is a ConfigError naming the path."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, RecursionError, json.JSONDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return RunConfig.from_dict(raw)
+
+
+def load_run_config(path: str | Path) -> RunConfig:
+    return RunConfig.from_dict(read_json_file(path))
 
 
 def save_run_config(run: RunConfig, path: str | Path) -> None:

@@ -2,7 +2,7 @@
 
 Teacher training minimizes the reconstruction term alone. Distillation
 optimizes the full weighted objective over the student parameters plus the
-per-block projectors; the teacher is loaded frozen and its features enter
+per-tap projectors; the teacher is loaded frozen and its features enter
 the interaction detached, so its bytes never change.
 
 All randomness flows through labelled streams derived from the run seed,
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import Projector, cross_net_features, make_projector
+from .attention import cross_net_features, make_projector
 from .checkpoint import Checkpoint
 from .config import RunConfig, config_hash
 from .data import Sample, batch_indices, make_samples, normalize, denormalize
@@ -37,6 +37,11 @@ from .models import ModelConfig, RestorationNet, build_net, compress_config, cou
 from .seeding import derive_seed, rng_for
 from .tensor import Tensor
 
+# Adam's published defaults (Kingma & Ba 2015); the paper does not tune them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -53,8 +58,7 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
-              lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
+              lr: float) -> AdamState:
     """One Adam update with bias correction; mutates params in place."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ConfigError("adam_step: params/grads/state lengths differ")
@@ -62,15 +66,15 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
         if not np.all(np.isfinite(g)):
             raise NonFiniteError(f"non-finite gradient for parameter index {i}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
         # direction first: bounded even when the second moment saturates
-        p.data = p.data - lr * ((m / bc1) / (np.sqrt(v / bc2) + eps))
+        p.data = p.data - lr * ((m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS))
     return state
 
 
@@ -219,8 +223,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
             try:
                 loss_value, components, grads = _batch_step(objective, batch, params,
                                                             cfg.loss, step)
-                adam_step(params, grads, state, lr, cfg.beta1, cfg.beta2,
-                          cfg.adam_eps)
+                adam_step(params, grads, state, lr)
                 step += 1
                 # 1 - 0.9 rounds to just below 0.1; writing 0.1 would change the ema bits
                 ema = loss_value if ema is None else 0.9 * ema + (1 - 0.9) * loss_value
@@ -288,25 +291,15 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
     w = run.train.loss
     student = build_net(run.student_model, derive_seed(run.train.seed, "student"))
     d_u = run.student_model.unified_dim
-    t_channels = teacher.cfg.tap_channels()
-    s_channels = run.student_model.tap_channels()
-    taps = list(range(len(s_channels)))
-    if run.train.distill_blocks is not None:
-        bad = [i for i in run.train.distill_blocks if i not in taps]
-        if bad:
-            raise ConfigError(f"distill_blocks {bad} outside tap range {taps[-1]}")
-        taps = list(run.train.distill_blocks)
     proj_rng = rng_for(run.train.seed, "projectors")
-    projectors: dict[int, tuple[Projector, Projector]] = {}
-    extra_params: dict[str, Tensor] = {}
-    for i in taps:
-        p_t = make_projector(t_channels[i], d_u, proj_rng)
-        p_s = make_projector(s_channels[i], d_u, proj_rng)
-        projectors[i] = (p_t, p_s)
-        extra_params[f"proj{i}.t.w"] = p_t.weight
-        extra_params[f"proj{i}.t.b"] = p_t.bias
-        extra_params[f"proj{i}.s.w"] = p_s.weight
-        extra_params[f"proj{i}.s.b"] = p_s.bias
+    # one (teacher, student) pair per tap, p_t drawn before p_s
+    pairs = [(make_projector(c_t, d_u, proj_rng), make_projector(c_s, d_u, proj_rng))
+             for c_t, c_s in zip(teacher.cfg.tap_channels(),
+                                 run.student_model.tap_channels())]
+    extra_params = {f"proj{i}.{side}.{k}": tensor
+                    for i, pair in enumerate(pairs)
+                    for side, p in zip("ts", pair)
+                    for k, tensor in (("w", p.weight), ("b", p.bias))}
     phi = PhiExtractor(run.student_model.input_channels,
                        derive_seed(run.train.seed, "phi"))
     use_gk = w.alpha2 > 0.0
@@ -324,8 +317,8 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
             if use_gk or use_cl:
                 t_out, t_feats = teacher.forward_with_features(x)
             if use_gk:
-                gk = gk_feature_loss([cross_net_features(t_feats[i], s_feats[i], *projectors[i])
-                                      for i in taps], w)
+                gk = gk_feature_loss([cross_net_features(t, s, *pair)
+                                      for t, s, pair in zip(t_feats, s_feats, pairs)], w)
             if use_cl:
                 cl = contrastive_loss_from_features(
                     phi(s_out), phi(t_out.detach()), negatives, w.tau)

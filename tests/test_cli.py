@@ -235,6 +235,22 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    # Adam's hyper-parameters are fixed and every tap is distilled
+    @pytest.mark.parametrize("key, value", [
+        ("beta1", 0.9), ("beta2", 0.999), ("adam_eps", 1e-8), ("distill_blocks", [0]),
+    ])
+    def test_removed_train_key_is_a_config_error(self, tiny_run, tmp_path, capsys,
+                                                 key, value):
+        run, _ = tiny_run
+        blob = run.to_dict()
+        blob["train"][key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match="train"):
+            load_run_config(path)
+        assert main(["count", "--config", str(path)]) == 1
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["count", "channels"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
         data, ckpt = dataset
@@ -249,6 +265,7 @@ class TestBoundaryErrors:
     @pytest.mark.parametrize("key, value", [
         ("task", "deblurr"), ("task", 7),
         ("base_seed", -1), ("base_seed", "x"), ("base_seed", True),
+        ("channels", True), ("channels", 1.0),
     ])
     def test_manifest_bad_value(self, tiny_run, dataset, tmp_path, capsys, key, value):
         run, _ = tiny_run
@@ -285,6 +302,14 @@ class TestBoundaryErrors:
         code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
         assert code == 1
         assert "invalid JSON" in err
+
+    def test_manifest_nested_too_deep(self, dataset, tmp_path, capsys):
+        data, ckpt = dataset
+        (data / "manifest.json").write_text("[" * 200_000)
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "invalid JSON" in err
+        assert not (tmp_path / "r.json").exists()
 
     def test_garbled_image_header(self, dataset, tmp_path, capsys):
         data, ckpt = dataset

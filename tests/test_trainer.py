@@ -250,19 +250,6 @@ class TestDistillation:
         with pytest.raises(ConfigError):
             distill(run, teacher.checkpoint, samples, held)
 
-    def test_block_restriction(self):
-        run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100,
-                                         seed=9, distill_blocks=[1]))
-        samples, held = make_train_heldout(run)
-        teacher = train_teacher(run, samples, held)
-        res = distill(run, teacher.checkpoint, samples, held)
-        proj_names = [k for k in res.checkpoint.tensors if k.startswith("aux.proj")]
-        assert proj_names and all(".proj1." in k for k in proj_names)
-        with pytest.raises(ConfigError):
-            bad = tiny_run(train=TrainConfig(epochs=1, batch_size=4, seed=9,
-                                             distill_blocks=[99]))
-            distill(bad, teacher.checkpoint, samples, held)
-
 
 @pytest.fixture(scope="module")
 def teacher_ckpt():
@@ -306,15 +293,14 @@ class TestStreamedStep:
         seen = self._captured(monkeypatch, train_teacher, run, samples, held)
         self._assert_matches_one_graph(seen, samples[:batch_size], weighted=False)
 
-    @pytest.mark.parametrize("loss,blocks", [
-        (LossWeights(tau=0.5), None),
-        (LossWeights(tau=1e-6), None),
-        (LossWeights(tau=0.5), [0]),
-        (LossWeights(alpha2=0.0, alpha3=0.0), None),
-    ], ids=["tau0.5", "tau1e-6", "blocks0", "alphas0"])
-    def test_distill(self, monkeypatch, teacher_ckpt, loss, blocks):
+    @pytest.mark.parametrize("loss", [
+        LossWeights(tau=0.5),
+        LossWeights(tau=1e-6),
+        LossWeights(alpha2=0.0, alpha3=0.0),
+    ], ids=["tau0.5", "tau1e-6", "alphas0"])
+    def test_distill(self, monkeypatch, teacher_ckpt, loss):
         run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5,
-                                         loss=loss, distill_blocks=blocks))
+                                         loss=loss))
         samples, held = make_train_heldout(run)
         seen = self._captured(monkeypatch, distill, run, teacher_ckpt, samples, held)
         self._assert_matches_one_graph(seen, samples[:4], weighted=True)
