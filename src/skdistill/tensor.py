@@ -399,16 +399,18 @@ def spatial_attend(t, s, scale: float) -> Tensor:
 
     No N x N array exists: the forward runs over blocks of ATTEND_BLOCK
     columns of the logits, and the softmax runs over each column, so every
-    block is exact on its own. A block takes `_softmax`'s operation
-    sequence; with N <= ATTEND_BLOCK there is one block and the output is
-    bitwise that of the composite
-    `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))`, and above
-    it the block products round differently (about 1e-15 relative). The
-    backward keeps only the output and each column's max m and sum z, and
-    recomputes P one block of rows at a time, as FlashAttention does
-    (Dao et al. 2022): P_ij = exp(ts_i . s_j - m_j - log z_j). Memory is
-    O(C N + N ATTEND_BLOCK). Records the MACs of the two matmuls it
-    replaces, 2 * C * N^2; the recompute is not counted.
+    block is exact on its own. A block is held transposed, its columns as
+    the rows of one (ATTEND_BLOCK, N) buffer reused across blocks: L =
+    s_cols^T ts gives the row maxima m, L - m is recomputed as the product
+    [s_cols; m]^T [ts; -1], exponentiated in place and summed along rows
+    to z, and the output block is (s @ exp(L - m)^T) / z. It matches an
+    extended-precision reference to 1e-14 relative and the composite
+    `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))` to 1e-13,
+    not bitwise. The backward keeps only the output and each column's
+    shift m + log z, and recomputes P one block of rows at a time, as
+    FlashAttention does (Dao et al. 2022): P_ij = exp(ts_i . s_j - m_j -
+    log z_j). Memory is O(C N + N ATTEND_BLOCK). Records the MACs of the
+    two matmuls it replaces, 2 * C * N^2; the recomputes are not counted.
     """
     t, s = as_tensor(t), as_tensor(s)
     if t.ndim != 2 or t.shape != s.shape:
@@ -418,19 +420,26 @@ def spatial_attend(t, s, scale: float) -> Tensor:
         raise ShapeError(f"spatial_attend over an empty dimension, shape {t.shape}")
     c, n = s.shape
     _record_macs(2 * c * n * n)
-    ts = t.data * scale
-    y = np.empty((c, n))
-    shift = np.empty(n)  # m, then m + log z
+    # [ts; -1] and [s; m]: an extra row carries each column's shift into
+    # the product, so no broadcast subtraction runs over a block
+    ts_minus = np.vstack([t.data * scale, np.full((1, n), -1.0)])
+    s_shift = np.vstack([s.data, np.empty((1, n))])
+    ts, shift = ts_minus[:c], s_shift[c]  # shift: m, then m + log z
     total = np.empty(n)  # z
+    y = np.empty((c, n))
+    block = (min(ATTEND_BLOCK, n), n)
+    buf = np.empty(block)  # one block of P, transposed: row k is column j + k
     for j in range(0, n, ATTEND_BLOCK):
         cols = slice(j, j + ATTEND_BLOCK)
-        p = ts.T @ s.data[:, cols]
-        shift[cols] = p.max(axis=0)
-        p -= shift[cols]
+        p = buf[:min(ATTEND_BLOCK, n - j)]
+        np.matmul(s.data[:, cols].T, ts, out=p)
+        p.max(axis=1, out=shift[cols])
+        np.matmul(s_shift[:, cols].T, ts_minus, out=p)
         np.exp(p, out=p)
-        total[cols] = p.sum(axis=0)
-        p /= total[cols]
-        y[:, cols] = s.data @ p
+        p.sum(axis=1, out=total[cols])
+        y_cols = s.data @ p.T
+        y_cols /= total[cols]
+        y[:, cols] = y_cols
     shift += np.log(total)
 
     def backward(g):
@@ -439,21 +448,24 @@ def spatial_attend(t, s, scale: float) -> Tensor:
         # sum_c g * y. The shift and the subtraction each ride in their
         # matmul as one extra row, so a block of P costs one product and
         # one exp, and its dL one product and one multiply.
-        minus = np.full((1, n), -1.0)
-        p_lhs, p_rhs = np.vstack([ts, minus]), np.vstack([s.data, shift[None]])
-        d_lhs, d_rhs = np.vstack([s.data, minus]), np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
+        d_lhs = np.vstack([s.data, np.full((1, n), -1.0)])
+        d_rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
         ds = np.empty((c, n)) if s.requires_grad else None
         dt = np.empty((c, n)) if t.requires_grad else None
         ds_logits = np.zeros((c, n)) if s.requires_grad else None
+        ds_block = np.empty((c, n)) if s.requires_grad else None
+        p_buf, dl_buf = np.empty(block), np.empty(block)
         for i in range(0, n, ATTEND_BLOCK):
             rows = slice(i, i + ATTEND_BLOCK)
-            p = p_lhs[:, rows].T @ p_rhs
+            p, dl = p_buf[:min(ATTEND_BLOCK, n - i)], dl_buf[:min(ATTEND_BLOCK, n - i)]
+            np.matmul(ts_minus[:, rows].T, s_shift, out=p)
             np.exp(p, out=p)
-            dl = d_lhs[:, rows].T @ d_rhs
+            np.matmul(d_lhs[:, rows].T, d_rhs, out=dl)
             dl *= p
             if ds is not None:
                 ds[:, rows] = g @ p.T
-                ds_logits += ts[:, rows] @ dl
+                np.matmul(ts[:, rows], dl, out=ds_block)
+                ds_logits += ds_block
             if dt is not None:
                 dt[:, rows] = s.data @ dl.T
         if ds is not None:

@@ -2,11 +2,15 @@
 
 The brute-force oracles are written with plain Python floats and math.* so
 they stay independent of the tensor engine they are used to check.
+`extended_spatial_attend` is the spatial attention in numpy's extended
+precision (`np.longdouble`), an accuracy reference for the float64 op.
 `one_graph_step` is the trainer's earlier batch objective, kept as the
 reference for the streamed step that replaced it.
 """
 
 import math
+
+import numpy as np
 
 from skdistill import tensor as T
 from skdistill.losses import total_loss
@@ -41,6 +45,15 @@ def brute_force_spatial(t, s, lam):
             b[i][j] = col[i]
     out = [[sum(s[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(c)]
     return out, b
+
+
+def extended_spatial_attend(t, s, scale):
+    """s @ softmax_cols(scale * t^T s) for (C, N) arrays, in np.longdouble."""
+    t, s = np.asarray(t, np.longdouble), np.asarray(s, np.longdouble)
+    logits = (t * np.longdouble(scale)).T @ s
+    p = np.exp(logits - logits.max(axis=0, keepdims=True))
+    p /= p.sum(axis=0, keepdims=True)
+    return s @ p
 
 
 def brute_force_gk(x_rows, y_rows, sigma, per_element_mean):
