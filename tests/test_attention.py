@@ -198,6 +198,9 @@ class TestFusedSpatialAttention:
             else:
                 assert got is None
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="np.longdouble is float64 here: the reference would not be "
+                               "more precise than the op")
     @pytest.mark.parametrize("n", [35, T.ATTEND_BLOCK, T.ATTEND_BLOCK + 1, 1000, 1024])
     @pytest.mark.parametrize("c", [1, 4, 8])
     def test_forward_within_extended_precision_reference(self, c, n):
