@@ -23,11 +23,14 @@ no partial state. Errors carry the byte offset of the problem.
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -74,21 +77,46 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 
 
 class _Reader:
-    """Cursor over the blob; `take` returns views, so a payload is copied
-    only once, when its array is made."""
+    """Cursor over a binary stream of `size` bytes. Every read is checked
+    against the bytes left before it is made, so a header that claims more
+    than the stream holds raises before anything is allocated."""
 
-    def __init__(self, blob: bytes):
-        self.blob = memoryview(blob)
+    def __init__(self, stream: BinaryIO, size: int):
+        self.stream = stream
+        self.size = size
         self.offset = 0
 
-    def take(self, n: int) -> memoryview:
-        if self.offset + n > len(self.blob):
-            raise CheckpointTruncatedError(
-                f"checkpoint truncated at offset {self.offset}: "
-                f"needed {n} bytes, {len(self.blob) - self.offset} remain")
-        chunk = self.blob[self.offset:self.offset + n]
+    def _truncated(self, n: int) -> CheckpointTruncatedError:
+        return CheckpointTruncatedError(
+            f"checkpoint truncated at offset {self.offset}: "
+            f"needed {n} bytes, {self.size - self.offset} remain")
+
+    def _advance(self, n: int, got: int) -> None:
+        if got != n:  # the stream ended before its stated size
+            raise self._truncated(n)
         self.offset += n
+
+    def take(self, n: int) -> bytes:
+        if n > self.size - self.offset:
+            raise self._truncated(n)
+        chunk = self.stream.read(n)
+        self._advance(n, len(chunk))
         return chunk
+
+    def float64s(self, dims: tuple[int, ...], dims_offset: int, name: str) -> np.ndarray:
+        """A fresh float64 array of shape `dims`, read straight into its memory."""
+        n = 8 * math.prod(dims)
+        if n > self.size - self.offset:
+            raise self._truncated(n)
+        try:
+            # numpy refuses a rank above its limit, and extents whose non-zero
+            # product overflows, even when the payload is empty
+            arr = np.empty(dims, dtype="<f8")
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"bad dims for tensor {name!r} at offset {dims_offset}: {exc}") from exc
+        self._advance(n, self.stream.readinto(memoryview(arr).cast("B")))
+        return arr
 
     def u8(self) -> int:
         return self.take(1)[0]
@@ -113,9 +141,9 @@ class _Reader:
         return value
 
 
-def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    r = _Reader(blob)
-    magic = bytes(r.take(4))
+def _read_checkpoint(stream: BinaryIO, size: int) -> Checkpoint:
+    r = _Reader(stream, size)
+    magic = r.take(4)
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
     version = r.u32()
@@ -144,18 +172,14 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         rank = r.u8()
         dims_offset = r.offset
         dims = tuple(r.u32() for _ in range(rank))
-        payload = r.take(8 * math.prod(dims))
-        try:
-            # numpy refuses a rank above its limit, and extents whose non-zero
-            # product overflows, even when the payload is empty
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-        except ValueError as exc:
-            raise CheckpointFormatError(
-                f"bad dims for tensor {name!r} at offset {dims_offset}: {exc}") from exc
-    if r.offset != len(blob):
-        raise CheckpointFormatError(
-            f"{len(blob) - r.offset} trailing bytes at offset {r.offset}")
+        tensors[name] = r.float64s(dims, dims_offset, name)
+    if r.offset != size:
+        raise CheckpointFormatError(f"{size - r.offset} trailing bytes at offset {r.offset}")
     return Checkpoint(step=step, meta=meta, tensors=tensors)
+
+
+def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    return _read_checkpoint(io.BytesIO(blob), len(blob))
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
@@ -163,4 +187,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    return checkpoint_from_bytes(Path(path).read_bytes())
+    """Reads the file in place: each payload goes straight into its array."""
+    with open(path, "rb") as f:
+        return _read_checkpoint(f, os.fstat(f.fileno()).st_size)

@@ -317,6 +317,22 @@ def _multi_block_checks(rng) -> list[CheckResult]:
     return [_run("spatial_attend (multi-block)", 4, rng, _spatial_attend_cases(width))]
 
 
+def _upsample_depthwise_checks(rng) -> list[CheckResult]:
+    inputs = itertools.cycle(("x", "w", "bias"))
+
+    def case(r):
+        x0 = Tensor(r.normal(size=(2, 2, 3)))
+        w = Tensor(r.normal(size=(2, 3, 3)))
+        bias = Tensor(r.normal(size=2))
+        which = next(inputs)
+        if which == "x":
+            return lambda x: _sq(T.upsample2x_depthwise_conv2d(x, w, bias)), x0
+        if which == "w":
+            return lambda x: _sq(T.upsample2x_depthwise_conv2d(x0, x, bias)), w
+        return lambda x: _sq(T.upsample2x_depthwise_conv2d(x0, w, x)), bias
+    return [_run("upsample2x_depthwise_conv2d (x/w/bias)", 6, rng, case)]
+
+
 def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     """All checks; >= 100 seeded trials across every differentiable op."""
     rng = rng_for(seed, "gradsuite")
@@ -326,7 +342,10 @@ def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
     results.extend(_interaction_checks(rng))
     results.extend(_loss_checks(rng))
     results.extend(_model_checks(rng))
-    results.extend(_multi_block_checks(rng))  # last, so the groups above keep their draws
+    # the groups below come last, in the order they were added, so the
+    # groups above keep their draws
+    results.extend(_multi_block_checks(rng))
+    results.extend(_upsample_depthwise_checks(rng))
     return results
 
 

@@ -6,7 +6,8 @@ group: block j fuses the level input plus all previous block outputs with a
 1x1 map, then applies layer-normalized channel self-attention and a
 pointwise feed-forward (expansion 2), both residual. Downsampling is a
 depthwise-separable strided 3x3; upsampling is nearest-neighbor + depthwise
-3x3, with the encoder skip concatenated and fused back by a 1x1 map. The
+3x3, run as the one op `tensor.upsample2x_depthwise_conv2d`, with the
+encoder skip concatenated and fused back by a 1x1 map. The
 final 3x3 projection is zero-initialized so a fresh net is the identity
 (global residual).
 
@@ -279,9 +280,8 @@ class RestorationNet:
         for level in range(cfg.levels - 1, 0, -1):
             c = cfg.channels_at(level)
             ch, cw = ch * 2, cw * 2
-            cur = T.upsample2x_nearest(cur)
-            cur = T.depthwise_conv2d(cur, self._p(f"up{level}.dw.w"),
-                                     self._p(f"up{level}.dw.b"))
+            cur = T.upsample2x_depthwise_conv2d(cur, self._p(f"up{level}.dw.w"),
+                                                self._p(f"up{level}.dw.b"))
             cat = T.concat([T.reshape(cur, (2 * c, ch * cw)),
                             T.reshape(skips[level - 1], (c, ch * cw))], axis=0)
             m = self._pw(f"up{level}.fuse", cat)

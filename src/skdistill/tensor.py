@@ -11,7 +11,7 @@ nodes in exact reverse creation order, which keeps runs bitwise
 reproducible.
 
 Multiply-accumulate counts (for the complexity accounting) are recorded
-only by `matmul`, `linear`, `spatial_attend` and the two convolution ops,
+only by `matmul`, `linear`, `spatial_attend` and the three convolution ops,
 under the convention 1 MAC = 2 FLOPs.
 
 Ops do not check their values: NaN and Inf propagate, and finiteness is
@@ -586,15 +586,20 @@ def conv2d(x, w, bias, stride: int = 1) -> Tensor:
     return _node(out_data, "conv2d", (x, w, bias), backward)
 
 
-def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
-    """Per-channel 3x3 convolution (zero padding 1), stride 1 or 2."""
+def _depthwise_inputs(op: str, x, w, bias) -> tuple[Tensor, Tensor, Tensor]:
     x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
     if x.ndim != 3 or w.ndim != 3 or w.shape[1:] != (3, 3):
-        raise ShapeError(f"depthwise_conv2d expects x (C,H,W) and w (C,3,3), got {x.shape} and {w.shape}")
+        raise ShapeError(f"{op} expects x (C,H,W) and w (C,3,3), got {x.shape} and {w.shape}")
     if w.shape[0] != x.shape[0]:
         raise ShapeError(f"depthwise channel mismatch: x has {x.shape[0]}, w has {w.shape[0]}")
     if bias.shape != (x.shape[0],):
         raise ShapeError(f"depthwise bias shape {bias.shape} != ({x.shape[0]},)")
+    return x, w, bias
+
+
+def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
+    """Per-channel 3x3 convolution (zero padding 1), stride 1 or 2."""
+    x, w, bias = _depthwise_inputs("depthwise_conv2d", x, w, bias)
     if stride not in (1, 2):
         raise RangeError(f"depthwise stride must be 1 or 2, got {stride}")
     c, h, wd = x.shape
@@ -622,12 +627,77 @@ def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
 
 
 def upsample2x_nearest(x) -> Tensor:
+    """Nearest-neighbour 2x upsampling; the reference that
+    `upsample2x_depthwise_conv2d` is checked against."""
     x = as_tensor(x)
     if x.ndim != 3:
         raise ShapeError(f"upsample2x_nearest expects (C,H,W), got shape {x.shape}")
     c, h, w = x.shape
     return _node(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), "upsample2x", (x,),
                  lambda g: x._accum_owned(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
+
+
+# For output row parity r, the three kernel rows of a conv over a
+# nearest-upsampled input read two rows of the zero-padded low-resolution
+# input: (row offset, the kernel rows that read it). Columns work the same way.
+_UP_PHASE_TAPS = (((0, slice(0, 1)), (1, slice(1, 3))),
+                  ((1, slice(0, 2)), (2, slice(2, 3))))
+
+
+def upsample2x_depthwise_conv2d(x, w, bias) -> Tensor:
+    """depthwise_conv2d(upsample2x_nearest(x), w, bias) as one op.
+
+    Each output phase (row parity x column parity) is a 2x2 depthwise conv
+    of the padded low-resolution x whose taps are sums of w, a sub-pixel
+    convolution (Shi et al. 2016): 16 multiply-adds per low-resolution
+    pixel and channel instead of 36, and no 4x intermediate. The result
+    matches the composite to rounding, not bitwise. Records the composite's
+    MACs, 9 * C * (2h) * (2w).
+    """
+    x, w, bias = _depthwise_inputs("upsample2x_depthwise_conv2d", x, w, bias)
+    c, h, wd = x.shape
+    _record_macs(c * 9 * (2 * h) * (2 * wd))
+    xp = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
+
+    def phase_taps(r, s):
+        """(kernel rows, kernel cols, index into xp) of the 4 taps of phase (r, s)."""
+        for di, rows in _UP_PHASE_TAPS[r]:
+            for dj, cols in _UP_PHASE_TAPS[s]:
+                yield rows, cols, (slice(None), slice(di, di + h), slice(dj, dj + wd))
+
+    def kernel(rows, cols):
+        return w.data[:, rows, cols].sum(axis=(1, 2))[:, None, None]
+
+    out = np.empty((c, h, 2, wd, 2))
+    phase = np.empty((c, h, wd))
+    for r in range(2):
+        for s in range(2):
+            phase[:] = bias.data[:, None, None]
+            for rows, cols, tap in phase_taps(r, s):
+                phase += kernel(rows, cols) * xp[tap]
+            out[:, :, r, :, s] = phase
+
+    def backward(g):
+        if bias.requires_grad:
+            bias._accum_owned(g.sum(axis=(1, 2)))
+        g = g.reshape(c, h, 2, wd, 2)
+        dw = np.zeros_like(w.data) if w.requires_grad else None
+        dxp = np.zeros_like(xp) if x.requires_grad else None
+        for r in range(2):
+            for s in range(2):
+                g_phase = g[:, :, r, :, s]
+                for rows, cols, tap in phase_taps(r, s):
+                    if dw is not None:
+                        dk = np.einsum("chw,chw->c", g_phase, xp[tap])
+                        dw[:, rows, cols] += dk[:, None, None]
+                    if dxp is not None:
+                        dxp[tap] += kernel(rows, cols) * g_phase
+        if dw is not None:
+            w._accum_owned(dw)
+        if dxp is not None:
+            x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
+    return _node(out.reshape(c, 2 * h, 2 * wd), "upsample2x_depthwise_conv2d",
+                 (x, w, bias), backward)
 
 
 def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> float:

@@ -2,6 +2,8 @@
 
 The brute-force oracles are written with plain Python floats and math.* so
 they stay independent of the tensor engine they are used to check.
+`window_ssim` is SSIM with the 2-D Gaussian window summed tap by tap, the
+reference for the separable filter of `metrics.ssim`.
 `extended_spatial_attend` is the spatial attention in numpy's extended
 precision (`np.longdouble`), an accuracy reference for the float64 op.
 `one_graph_step` is the trainer's earlier batch objective, kept as the
@@ -14,6 +16,7 @@ import numpy as np
 
 from skdistill import tensor as T
 from skdistill.losses import total_loss
+from skdistill.metrics import gaussian_window
 
 
 def softmax_row(row):
@@ -73,6 +76,36 @@ def brute_force_ssim_window(a, b, weights, c1, c2):
     cov = sum(w * x * y for w, x, y in zip(weights, a, b)) - mu_a * mu_b
     return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+
+
+def _windowed_means(x, window):
+    """Valid-mode weighted means of the 2-D array x for every window position."""
+    size = window.shape[0]
+    h, w = x.shape
+    out = np.zeros((h - size + 1, w - size + 1))
+    for di in range(size):
+        for dj in range(size):
+            out += window[di, dj] * x[di:di + h - size + 1, dj:dj + w - size + 1]
+    return out
+
+
+def window_ssim(a, b, data_range=1.0):
+    """Mean SSIM of (C, H, W) arrays over the 11x11 2-D Gaussian window,
+    averaged over channels."""
+    window = gaussian_window()
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    scores = []
+    for a_c, b_c in zip(a, b):
+        mu_a = _windowed_means(a_c, window)
+        mu_b = _windowed_means(b_c, window)
+        var_a = _windowed_means(a_c * a_c, window) - mu_a * mu_a
+        var_b = _windowed_means(b_c * b_c, window) - mu_b * mu_b
+        cov = _windowed_means(a_c * b_c, window) - mu_a * mu_b
+        ssim_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
+            ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+        scores.append(ssim_map.mean())
+    return float(np.mean(scores))
 
 
 def _mean_loss(parts):

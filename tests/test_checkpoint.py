@@ -66,37 +66,55 @@ class TestRoundtrip:
             assert back.tensors[name].tobytes() == arr.tobytes()
             assert back.tensors[name].flags.writeable
 
+    def test_file_and_bytes_give_the_same_checkpoint(self, tmp_path):
+        blob = net_blob()
+        (tmp_path / "n.skdc").write_bytes(blob)
+        from_file, from_bytes = load_checkpoint(tmp_path / "n.skdc"), checkpoint_from_bytes(blob)
+        assert (from_file.step, from_file.meta) == (from_bytes.step, from_bytes.meta)
+        assert list(from_file.tensors) == list(from_bytes.tensors)
+        for name, arr in from_bytes.tensors.items():
+            assert from_file.tensors[name].shape == arr.shape
+            assert from_file.tensors[name].tobytes() == arr.tobytes()
+
     def test_serialization_is_deterministic(self):
         a = checkpoint_to_bytes(sample_checkpoint())
         b = checkpoint_to_bytes(sample_checkpoint())
         assert a == b
 
 
+def assert_both_raise(tmp_path, blob, error, match):
+    """Decoding `blob` from bytes and from a file raises `error`, with one message."""
+    with pytest.raises(error, match=match) as from_bytes:
+        checkpoint_from_bytes(blob)
+    path = tmp_path / "c.skdc"
+    path.write_bytes(blob)
+    with pytest.raises(error, match=match) as from_file:
+        load_checkpoint(path)
+    assert str(from_file.value) == str(from_bytes.value)
+
+
 class TestErrors:
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
         blob = bytearray(checkpoint_to_bytes(sample_checkpoint()))
         blob[:4] = b"XKDC"
-        with pytest.raises(CheckpointFormatError, match="offset 0"):
-            checkpoint_from_bytes(bytes(blob))
+        assert_both_raise(tmp_path, bytes(blob), CheckpointFormatError, "offset 0")
 
-    def test_bad_version(self):
+    def test_bad_version(self, tmp_path):
         blob = bytearray(checkpoint_to_bytes(sample_checkpoint()))
         blob[4:8] = (99).to_bytes(4, "little")
-        with pytest.raises(CheckpointVersionError, match="99"):
-            checkpoint_from_bytes(bytes(blob))
+        assert_both_raise(tmp_path, bytes(blob), CheckpointVersionError, "99")
 
     @pytest.mark.parametrize("cut", [2, 7, 15, 40, -9, -1])
-    def test_truncation(self, cut):
+    def test_truncation(self, cut, tmp_path):
         blob = checkpoint_to_bytes(sample_checkpoint())
-        with pytest.raises(CheckpointTruncatedError, match="offset"):
-            checkpoint_from_bytes(blob[:cut] if cut > 0 else blob[:len(blob) + cut])
+        assert_both_raise(tmp_path, blob[:cut] if cut > 0 else blob[:len(blob) + cut],
+                          CheckpointTruncatedError, "offset")
 
-    def test_trailing_garbage(self):
+    def test_trailing_garbage(self, tmp_path):
         blob = checkpoint_to_bytes(sample_checkpoint()) + b"\x00\x01"
-        with pytest.raises(CheckpointFormatError, match="trailing"):
-            checkpoint_from_bytes(blob)
+        assert_both_raise(tmp_path, blob, CheckpointFormatError, "trailing")
 
-    def test_unknown_dtype_code(self):
+    def test_unknown_dtype_code(self, tmp_path):
         ckpt = Checkpoint(step=0, tensors={"x": np.zeros(2)})
         blob = bytearray(checkpoint_to_bytes(ckpt))
         # dtype byte follows magic(4) version(4) step(8) rng(4+2) meta(4+2)
@@ -104,15 +122,13 @@ class TestErrors:
         dtype_at = 4 + 4 + 8 + 4 + 2 + 4 + 2 + 4 + 4 + 1
         assert blob[dtype_at] == 0
         blob[dtype_at] = 7
-        with pytest.raises(CheckpointFormatError, match="dtype"):
-            checkpoint_from_bytes(bytes(blob))
+        assert_both_raise(tmp_path, bytes(blob), CheckpointFormatError, "dtype")
 
-    def test_non_utf8_tensor_name(self):
+    def test_non_utf8_tensor_name(self, tmp_path):
         blob = checkpoint_to_bytes(Checkpoint(step=0, tensors={"x": np.zeros(2)}))
         name_at = blob.index(b"x\x00")   # the name, then its dtype byte
         bad = blob[:name_at] + b"\xff" + blob[name_at + 1:]
-        with pytest.raises(CheckpointFormatError, match="tensor name"):
-            checkpoint_from_bytes(bad)
+        assert_both_raise(tmp_path, bad, CheckpointFormatError, "tensor name")
 
     def test_failed_load_leaves_no_file_side_effects(self, tmp_path):
         path = tmp_path / "bad.skdc"
@@ -139,18 +155,17 @@ class TestStructuralErrors:
         assert raw_blob(tensors=[(b"x", (2,), np.array([1.0, 2.0]).tobytes())]) == \
             checkpoint_to_bytes(ckpt)
 
-    def test_duplicate_tensor_name(self):
+    def test_duplicate_tensor_name(self, tmp_path):
         x = (b"x", (1,), struct.pack("<d", 1.0))
         blob = raw_blob(tensors=[x, x])
         second_name_at = len(raw_blob(tensors=[x])) + 4
-        with pytest.raises(CheckpointFormatError,
-                           match=f"duplicate tensor 'x' at offset {second_name_at}"):
-            checkpoint_from_bytes(blob)
+        assert_both_raise(tmp_path, blob, CheckpointFormatError,
+                          f"duplicate tensor 'x' at offset {second_name_at}")
 
     @pytest.mark.parametrize("rng", [b"5", b"[]", b'"x"', b"null"])
-    def test_rng_block_must_be_an_object(self, rng):
-        with pytest.raises(CheckpointFormatError, match="RNG state at offset 20"):
-            checkpoint_from_bytes(raw_blob(rng=rng))
+    def test_rng_block_must_be_an_object(self, rng, tmp_path):
+        assert_both_raise(tmp_path, raw_blob(rng=rng), CheckpointFormatError,
+                          "RNG state at offset 20")
 
     def test_rng_block_content_is_discarded(self):
         # files that stored an RNG state still load; the block is rewritten as {}
@@ -158,27 +173,33 @@ class TestStructuralErrors:
         assert checkpoint_to_bytes(checkpoint_from_bytes(blob)) == raw_blob()
 
     @pytest.mark.parametrize("meta", [b"[]", b"1.5", b"true"])
-    def test_meta_block_must_be_an_object(self, meta):
-        with pytest.raises(CheckpointFormatError, match="metadata at offset 26"):
-            checkpoint_from_bytes(raw_blob(meta=meta))
+    def test_meta_block_must_be_an_object(self, meta, tmp_path):
+        assert_both_raise(tmp_path, raw_blob(meta=meta), CheckpointFormatError,
+                          "metadata at offset 26")
 
-    def test_deeply_nested_json(self):
-        with pytest.raises(CheckpointFormatError, match="bad RNG state JSON at offset 20"):
-            checkpoint_from_bytes(raw_blob(rng=b"[" * 100_000))
+    def test_deeply_nested_json(self, tmp_path):
+        assert_both_raise(tmp_path, raw_blob(rng=b"[" * 100_000), CheckpointFormatError,
+                          "bad RNG state JSON at offset 20")
 
     @pytest.mark.parametrize("dims", [(2**32 - 1,) * 8, (2**16,) * 4, (2**31, 2**31, 4)])
-    def test_element_count_past_int64_is_truncation(self, dims):
+    def test_element_count_past_int64_is_truncation(self, dims, tmp_path):
         # dims whose product wraps a 64-bit integer must not shrink the payload
-        with pytest.raises(CheckpointTruncatedError, match="offset"):
-            checkpoint_from_bytes(raw_blob(tensors=[(b"x", dims, b"")]))
+        assert_both_raise(tmp_path, raw_blob(tensors=[(b"x", dims, b"")]),
+                          CheckpointTruncatedError, "offset")
+
+    def test_payload_past_the_end_is_refused_before_allocating(self, tmp_path):
+        # 16 PiB: a reader that allocated the array before checking the
+        # bytes left would end in a raw MemoryError
+        assert_both_raise(tmp_path, raw_blob(tensors=[(b"x", (2**31, 2**20), b"")]),
+                          CheckpointTruncatedError, f"offset 47: needed {8 * 2**51} bytes")
 
     @pytest.mark.parametrize("dims, payload", [
         ((0, 2**32 - 1, 2**32 - 1, 2**32 - 1), b""),
         ((1,) * 70, struct.pack("<d", 1.0)),
     ])
-    def test_dims_numpy_cannot_shape(self, dims, payload):
-        with pytest.raises(CheckpointFormatError, match="bad dims for tensor 'x' at offset 39"):
-            checkpoint_from_bytes(raw_blob(tensors=[(b"x", dims, payload)]))
+    def test_dims_numpy_cannot_shape(self, dims, payload, tmp_path):
+        assert_both_raise(tmp_path, raw_blob(tensors=[(b"x", dims, payload)]),
+                          CheckpointFormatError, "bad dims for tensor 'x' at offset 39")
 
 
 def net_blob():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from skdistill.errors import NonFiniteError, RangeError, ShapeError
 from skdistill.metrics import gaussian_window, psnr, ssim
 
-from oracles import brute_force_ssim_window
+from oracles import brute_force_ssim_window, window_ssim
 
 
 class TestPsnr:
@@ -78,6 +78,14 @@ class TestSsim:
                 scores.append(brute_force_ssim_window(pa, pb, weights, c1, c2))
         want = sum(scores) / len(scores)
         assert abs(ssim(a, b, 1.0) - want) < 1e-10
+
+    @pytest.mark.parametrize("shape", [(1, 11, 11), (1, 11, 40), (1, 32, 32), (3, 64, 64),
+                                       (3, 128, 128)])
+    def test_separable_filter_matches_the_2d_window(self, shape):
+        g = np.random.default_rng(shape[2])
+        a = g.random(shape)
+        b = np.clip(a + g.normal(scale=0.1, size=shape), 0.0, 1.0)
+        assert abs(ssim(a, b, 1.0) - window_ssim(a, b, 1.0)) < 1e-13
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))

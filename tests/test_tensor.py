@@ -227,6 +227,7 @@ NODE_OPS = {
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
     "depthwise_conv2d": (T.depthwise_conv2d, [(2, 4, 4), (2, 3, 3), (2,)]),
     "upsample2x_nearest": (T.upsample2x_nearest, [(2, 2, 3)]),
+    "upsample2x_depthwise_conv2d": (T.upsample2x_depthwise_conv2d, [(2, 2, 3), (2, 3, 3), (2,)]),
 }
 
 
@@ -343,3 +344,37 @@ def test_conv_gradients(stride):
                                              T.conv2d(x, w, b, stride=stride))),
                       x0, eps=1e-5)
     assert err < 1e-4
+
+
+def _upsample_then_depthwise(x, w, bias):
+    return T.depthwise_conv2d(T.upsample2x_nearest(x), w, bias)
+
+
+class TestUpsampleDepthwise:
+    """The fused op against the composite it replaces."""
+
+    @staticmethod
+    def run(op, arrays, g_out):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        with T.count_macs() as counter:
+            out = op(*inputs)
+        T.sum_(T.mul(out, Tensor(g_out))).backward()
+        return out.data, [t.grad for t in inputs], counter.macs
+
+    @pytest.mark.parametrize("c,h,w", [(1, 1, 1), (2, 1, 3), (3, 4, 5), (7, 9, 2), (32, 16, 16)])
+    def test_matches_the_composite(self, c, h, w):
+        g = rng(c * 100 + h * 10 + w)
+        arrays = [g.normal(size=(c, h, w)), g.normal(size=(c, 3, 3)), g.normal(size=c)]
+        g_out = g.normal(size=(c, 2 * h, 2 * w))
+        got, got_grads, got_macs = self.run(T.upsample2x_depthwise_conv2d, arrays, g_out)
+        want, want_grads, want_macs = self.run(_upsample_then_depthwise, arrays, g_out)
+        assert got.shape == want.shape == (c, 2 * h, 2 * w)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for got_grad, want_grad in zip(got_grads, want_grads):
+            assert np.max(np.abs(got_grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        assert got_macs == want_macs == 9 * c * (2 * h) * (2 * w)
+
+    def test_channel_mismatch(self):
+        with pytest.raises(ShapeError):
+            T.upsample2x_depthwise_conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((3, 3, 3))),
+                                          Tensor(np.zeros(2)))
