@@ -3,10 +3,11 @@
 distill a compact student against it, and compare both with a plain
 (reconstruction-only) student baseline.
 
-Uses a moderate contrastive temperature so all three loss terms stay on
-comparable scales; pass --paper-tau to run with the 1e-6 default instead
-(the image-level term then dominates by several orders of magnitude at
-this scale).
+The run is `configs/denoise32.json` with its epochs, seeds and, under
+--paper-tau, contrastive temperature replaced. That config's moderate
+temperature keeps all three loss terms on comparable scales; --paper-tau
+runs with the 1e-6 default instead (the image-level term then dominates by
+several orders of magnitude at this scale).
 
     python3 scripts/run_smoke.py [--steps 1000] [--seed 0] [--paper-tau]
 """
@@ -14,12 +15,15 @@ this scale).
 import argparse
 import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
-from skdistill.config import RunConfig, TrainConfig
-from skdistill.data import CorpusSpec
+from skdistill.config import load_run_config
 from skdistill.losses import LossWeights
-from skdistill.models import ModelConfig, count_params_flops
+from skdistill.models import count_params_flops, reduction_percentages
 from skdistill.trainer import distill, make_train_heldout, train_restoration, train_teacher
+
+CONFIG = Path(__file__).resolve().parents[1] / "configs" / "denoise32.json"
 
 
 def main() -> int:
@@ -31,21 +35,17 @@ def main() -> int:
                         help="use the 1e-6 contrastive temperature")
     args = parser.parse_args()
 
-    data = CorpusSpec(count=40, patch_size=32, channels=1, task="denoise",
-                      noise_sigma=0.1, base_seed=args.seed)
-    teacher_cfg = ModelConfig([1, 1], base_channels=16, unified_dim=8, input_channels=1)
-    student_cfg = ModelConfig([1, 1], base_channels=8, unified_dim=8, input_channels=1)
-    batches_per_epoch = data.count // 4
-    teacher_epochs = max(1, args.steps // batches_per_epoch)
-    student_epochs = max(1, args.steps // (2 * batches_per_epoch))
+    base = load_run_config(CONFIG)
+    loss = replace(base.train.loss, tau=LossWeights().tau) if args.paper_tau else base.train.loss
+    data = replace(base.data, base_seed=args.seed)
 
-    loss = LossWeights() if args.paper_tau else LossWeights(tau=0.5)
-    run = RunConfig(
-        model=teacher_cfg, student_model=student_cfg,
-        train=TrainConfig(epochs=teacher_epochs, batch_size=4, eval_interval=250,
-                          seed=args.seed, loss=loss),
-        data=data,
-    )
+    def with_epochs(epochs: int):
+        return replace(base, data=data,
+                       train=replace(base.train, epochs=epochs, seed=args.seed, loss=loss))
+
+    batches_per_epoch = data.count // base.train.batch_size
+    run = with_epochs(max(1, args.steps // batches_per_epoch))
+    student_run = with_epochs(max(1, args.steps // (2 * batches_per_epoch)))
     print(f"corpus: {data.count} train patches, task={data.task}, "
           f"sigma={data.noise_sigma}, patch={data.patch_size}")
     samples, held = make_train_heldout(run)
@@ -57,12 +57,6 @@ def main() -> int:
           f"{time.perf_counter()-t0:5.0f}s]  psnr {t_ev['psnr_restored']:.2f} dB "
           f"(degraded {t_ev['psnr_degraded']:.2f} dB)")
 
-    student_run = RunConfig(
-        model=teacher_cfg, student_model=student_cfg,
-        train=TrainConfig(epochs=student_epochs, batch_size=4, eval_interval=250,
-                          seed=args.seed, loss=loss),
-        data=data,
-    )
     t0 = time.perf_counter()
     distilled = distill(student_run, teacher.checkpoint, samples, held)
     d_ev = distilled.eval_history[-1]
@@ -72,16 +66,18 @@ def main() -> int:
           f"(rec {last['rec']:.4f}, gk {last['gk']:.4f}, cl {last['cl']:.4f})")
 
     t0 = time.perf_counter()
-    plain = train_restoration(student_cfg, student_run, "plain-baseline", samples, held)
+    plain = train_restoration(run.student_model, student_run, "plain-baseline", samples, held)
     p_ev = plain.eval_history[-1]
     print(f"plain     [{plain.checkpoint.step:5d} steps, "
           f"{time.perf_counter()-t0:5.0f}s]  psnr {p_ev['psnr_restored']:.2f} dB "
           f"(reconstruction loss only)")
 
-    tp, tf = count_params_flops(teacher_cfg, data.patch_size, data.patch_size)
-    sp, sf = count_params_flops(student_cfg, data.patch_size, data.patch_size)
+    size = data.patch_size
+    tp, tf = count_params_flops(run.model, size, size)
+    sp, sf = count_params_flops(run.student_model, size, size)
+    p_red, f_red = reduction_percentages(run.model, run.student_model, size, size)
     print(f"teacher {tp:,} params / {tf:,} flops; student {sp:,} / {sf:,} "
-          f"(-{100*(1-sp/tp):.1f}% / -{100*(1-sf/tf):.1f}%)")
+          f"(-{p_red:.1f}% / -{f_red:.1f}%)")
     return 0
 
 

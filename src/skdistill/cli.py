@@ -13,18 +13,21 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config, read_json_file
-from .data import TASKS, Sample, make_samples, read_image, write_image
+from .configdict import from_dict
+from .data import CorpusSpec, Sample, make_samples, read_image, write_image
 from .errors import ConfigError, SkdError
 from .gradsuite import DEFAULT_TOL, run_gradcheck_suite, total_trials
-from .models import count_params_flops
+from .models import count_params_flops, reduction_percentages
 from .trainer import distill, evaluate, train_teacher
 
 EXIT_ABORTED = 3
+# a manifest is CorpusSpec's dict form; these keys must be written out, the
+# rest may take their defaults
 _MANIFEST_KEYS = ("task", "count", "channels", "base_seed")
 
 
@@ -49,51 +52,33 @@ def cmd_synth(args) -> int:
     for i, sample in enumerate(samples):
         write_image(out / _image_name(i, "clean", spec.channels), sample.clean)
         write_image(out / _image_name(i, "degraded", spec.channels), sample.degraded)
-    manifest = {
-        "task": spec.task,
-        "count": spec.count,
-        "channels": spec.channels,
-        "patch_size": spec.patch_size,
-        "base_seed": spec.base_seed,
-    }
     (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        json.dumps(asdict(spec), sort_keys=True, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {len(samples)} {spec.task} pairs to {out}")
     return 0
 
 
-def _read_manifest(root: Path) -> dict:
+def _read_manifest(root: Path) -> CorpusSpec:
     path = root / "manifest.json"
     manifest = read_json_file(path)
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
+    try:
+        spec = from_dict(CorpusSpec, manifest)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     missing = [k for k in _MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ConfigError(f"{path} lacks {missing}")
-    count = manifest["count"]
-    if type(count) is not int or count < 1:
-        raise ConfigError(f"{path}: count must be a positive integer, got {count!r}")
-    channels = manifest["channels"]
-    if type(channels) is not int or channels not in (1, 3):
-        raise ConfigError(f"{path}: channels must be 1 or 3, got {channels!r}")
-    if manifest["task"] not in TASKS:
-        raise ConfigError(f"{path}: task must be one of {TASKS}, got {manifest['task']!r}")
-    base_seed = manifest["base_seed"]
-    if type(base_seed) is not int or base_seed < 0:
-        raise ConfigError(
-            f"{path}: base_seed must be a non-negative integer, got {base_seed!r}")
-    return manifest
+    return spec
 
 
 def _load_dataset(path: str) -> list[Sample]:
     root = Path(path)
-    manifest = _read_manifest(root)
+    spec = _read_manifest(root)
     samples = []
-    for i in range(manifest["count"]):
-        clean = read_image(root / _image_name(i, "clean", manifest["channels"]))
-        degraded = read_image(root / _image_name(i, "degraded", manifest["channels"]))
-        samples.append(Sample(clean=clean, degraded=degraded,
-                              task=manifest["task"], seed=manifest["base_seed"]))
+    for i in range(spec.count):
+        clean = read_image(root / _image_name(i, "clean", spec.channels))
+        degraded = read_image(root / _image_name(i, "degraded", spec.channels))
+        samples.append(Sample(clean=clean, degraded=degraded, task=spec.task))
     return samples
 
 
@@ -147,8 +132,7 @@ def cmd_count(args) -> int:
         base = load_run_config(args.baseline)
         b_params, b_flops = count_params_flops(base.model, size, size)
         print(f"baseline: params={b_params} flops={b_flops}")
-        p_red = 100.0 * (1.0 - b_params / params)
-        f_red = 100.0 * (1.0 - b_flops / flops)
+        p_red, f_red = reduction_percentages(run.model, base.model, size, size)
         print(f"reduction: params={p_red:.1f}% flops={f_red:.1f}%")
     return 0
 
@@ -239,10 +223,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SkdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SkdError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

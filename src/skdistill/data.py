@@ -60,7 +60,6 @@ class Sample:
     clean: np.ndarray
     degraded: np.ndarray
     task: str
-    seed: int
 
 
 def _smooth_gradient(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -194,7 +193,7 @@ def make_samples(spec: CorpusSpec, *, first_index: int = 0,
         seed = int(rng_for(spec.base_seed, "sample", idx).integers(0, 2**63 - 1))
         samples.append(Sample(clean=clean,
                               degraded=degrade(clean, spec.task, spec, seed),
-                              task=spec.task, seed=seed))
+                              task=spec.task))
     return samples
 
 

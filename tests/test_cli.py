@@ -4,7 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,8 @@ from skdistill.cli import EXIT_ABORTED, main
 from skdistill.config import RunConfig, TrainConfig, load_run_config, save_run_config
 from skdistill.data import CorpusSpec, make_samples, write_image
 from skdistill.errors import ConfigError
-from skdistill.models import ModelConfig, build_net
+from skdistill.models import (ModelConfig, build_net, count_params_flops,
+                              reduction_percentages)
 from skdistill.trainer import TrainResult
 
 
@@ -40,6 +41,12 @@ def write_model_config(tmp_path, name, layers, channels):
     path = tmp_path / name
     save_run_config(run, path)
     return path
+
+
+def save_working_checkpoint(run, path):
+    """A seeded, untrained `run.model` net with the meta `eval` needs."""
+    tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+    save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), path)
 
 
 class TestUsageErrors:
@@ -86,6 +93,23 @@ class TestSynthEval:
         assert manifest["task"] == "denoise"
         assert (out_dir / "00000_clean.pgm").exists()
         assert (out_dir / "00007_degraded.pgm").exists()
+
+    def test_manifest_is_the_corpus_spec(self, tiny_run, tmp_path, capsys):
+        run, cfg_path = tiny_run
+        out_dir = tmp_path / "data"
+        assert main(["synth", "--task", "deblur", "--seed", "5", "--spec", str(cfg_path),
+                     "--out", str(out_dir)]) == 0
+        spec = replace(run.data, task="deblur", base_seed=5)
+        text = (out_dir / "manifest.json").read_text()
+        assert json.loads(text) == asdict(spec)
+        assert text == json.dumps(asdict(spec), sort_keys=True, indent=2) + "\n"
+        loaded, made = cli._load_dataset(str(out_dir)), make_samples(spec)
+        assert len(loaded) == len(made) == spec.count
+        eight_bit = lambda img: (np.rint(img * 255.0) / 255.0).tobytes()
+        for a, b in zip(loaded, made):
+            assert a.task == b.task == "deblur"
+            assert a.clean.tobytes() == eight_bit(b.clean)
+            assert a.degraded.tobytes() == eight_bit(b.degraded)
 
     def test_full_pipeline_and_eval_determinism(self, tiny_run, tmp_path, capsys):
         _, cfg_path = tiny_run
@@ -251,7 +275,8 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["count", "channels"])
+    # a missing count must not become CorpusSpec's default
+    @pytest.mark.parametrize("key", ["task", "count", "channels", "base_seed"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
         data, ckpt = dataset
         manifest = json.loads((data / "manifest.json").read_text())
@@ -260,6 +285,31 @@ class TestBoundaryErrors:
         code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
         assert code == 1
         assert key in err
+
+    def test_manifest_unknown_key(self, tiny_run, dataset, tmp_path, capsys):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        save_working_checkpoint(run, ckpt)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["bogus"] = 1
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "bogus" in err and str(data / "manifest.json") in err
+        assert not (tmp_path / "r.json").exists()
+
+    # manifests written before the manifest became CorpusSpec's dict form
+    def test_five_key_manifest_still_evaluates(self, tiny_run, dataset, tmp_path, capsys):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        save_working_checkpoint(run, ckpt)
+        assert self.eval_exit(data, ckpt, tmp_path, capsys)[0] == 0
+        full_report = (tmp_path / "r.json").read_bytes()
+        manifest = json.loads((data / "manifest.json").read_text())
+        old = {k: manifest[k] for k in ("task", "count", "channels", "patch_size", "base_seed")}
+        (data / "manifest.json").write_text(json.dumps(old))
+        assert self.eval_exit(data, ckpt, tmp_path, capsys)[0] == 0
+        assert (tmp_path / "r.json").read_bytes() == full_report
 
     # a bad value must not reach the report: the checkpoint here is a working one
     @pytest.mark.parametrize("key, value", [
@@ -270,8 +320,7 @@ class TestBoundaryErrors:
     def test_manifest_bad_value(self, tiny_run, dataset, tmp_path, capsys, key, value):
         run, _ = tiny_run
         data, ckpt = dataset
-        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
-        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        save_working_checkpoint(run, ckpt)
         manifest = json.loads((data / "manifest.json").read_text())
         manifest[key] = value
         (data / "manifest.json").write_text(json.dumps(manifest))
@@ -283,8 +332,7 @@ class TestBoundaryErrors:
     def test_mixed_image_sizes(self, tiny_run, dataset, tmp_path, capsys):
         run, _ = tiny_run
         data, ckpt = dataset
-        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
-        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        save_working_checkpoint(run, ckpt)
         large = make_samples(replace(run.data, patch_size=64, count=1))[0]
         write_image(data / "00001_clean.pgm", large.clean)
         write_image(data / "00001_degraded.pgm", large.degraded)
@@ -389,8 +437,7 @@ def argv_pool(tmp_path_factory):
     data = root / "data"
     assert main(["synth", "--spec", str(good), "--out", str(data)]) == 0
     ckpt = root / "net.skdc"
-    tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
-    save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+    save_working_checkpoint(run, ckpt)
     missing, a_dir = root / "missing", root / "empty"
     a_dir.mkdir()
     configs = [good, root / "bad_utf8.json", root / "deep.json", root / "unknown.json",
@@ -438,13 +485,35 @@ def test_main_fails_only_with_exit_codes(argv_pool, data):
     assert code in (0, 1, 2), argv
 
 
-def test_module_entry_point():
-    # src goes first on PYTHONPATH so the child imports this checkout's package,
-    # whatever directory pytest was started from.
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_child(*args):
+    """Run python with `args` from the repository root. src goes first on
+    PYTHONPATH so the child imports this checkout's package, whatever
+    directory pytest was started from."""
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "skdistill", "--help"],
-                          capture_output=True, text=True, cwd=root, env=env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          cwd=ROOT, env=env)
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "skdistill", "--help")
     assert proc.returncode == 0
     assert "synth" in proc.stdout
+
+
+def test_smoke_script_runs_the_sample_config():
+    proc = run_child("scripts/run_smoke.py", "--steps", "10", "--seed", "0")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for prefix in ("teacher   [   10 steps", "distilled [   10 steps", "plain     [   10 steps"):
+        assert sum(line.startswith(prefix) for line in lines) == 1, prefix
+    run = load_run_config(ROOT / "configs" / "denoise32.json")
+    size = run.data.patch_size
+    (tp, tf), (sp, sf) = (count_params_flops(m, size, size)
+                          for m in (run.model, run.student_model))
+    p_red, f_red = reduction_percentages(run.model, run.student_model, size, size)
+    assert lines[-1] == (f"teacher {tp:,} params / {tf:,} flops; student {sp:,} / {sf:,} "
+                         f"(-{p_red:.1f}% / -{f_red:.1f}%)")

@@ -251,4 +251,3 @@ def test_samples_are_deterministic_and_tagged():
         assert sa.task == "deblur"
         assert sa.clean.tobytes() == sb.clean.tobytes()
         assert sa.degraded.tobytes() == sb.degraded.tobytes()
-        assert sa.seed == sb.seed

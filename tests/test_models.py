@@ -242,8 +242,9 @@ class TestAccounting:
             net.forward_with_features(Tensor(np.zeros((cfg.input_channels, h, w))))
         assert flops_analytic == counter.flops
 
-    # taken from the hand-unrolled count that preceded the layout walk; the
-    # pairs are those of scripts/show_compression.py
+    # taken from the hand-unrolled count that preceded the layout walk; these
+    # are the three reference teacher -> student pairs at 128x128, and
+    # `skdistill count --config T --baseline S` reports any pair
     @pytest.mark.parametrize("teacher, scale, channels, counts", [
         (ModelConfig([4, 6, 6, 8], 48, 48, 3), [1, 2, 2, 4], 32,
          (21_636_771, 3_688_131, 41_702_031_360, 5_949_030_400)),
