@@ -28,7 +28,7 @@ from .trainer import distill, evaluate, train_teacher
 EXIT_ABORTED = 3
 # a manifest is CorpusSpec's dict form; these keys must be written out, the
 # rest may take their defaults
-_MANIFEST_KEYS = ("task", "count", "channels", "base_seed")
+_MANIFEST_KEYS = ("task", "count", "channels", "patch_size", "base_seed")
 
 
 def _apply_seed(run: RunConfig, seed: int | None) -> RunConfig:
@@ -74,12 +74,17 @@ def _read_manifest(root: Path) -> CorpusSpec:
 def _load_dataset(path: str) -> list[Sample]:
     root = Path(path)
     spec = _read_manifest(root)
-    samples = []
-    for i in range(spec.count):
-        clean = read_image(root / _image_name(i, "clean", spec.channels))
-        degraded = read_image(root / _image_name(i, "degraded", spec.channels))
-        samples.append(Sample(clean=clean, degraded=degraded, task=spec.task))
-    return samples
+    shape = (spec.channels, spec.patch_size, spec.patch_size)
+
+    def read(i: int, kind: str):
+        path = root / _image_name(i, kind, spec.channels)
+        image = read_image(path)
+        if image.shape != shape:
+            raise ConfigError(f"{path} is {image.shape}, the manifest says {shape}")
+        return image
+
+    return [Sample(clean=read(i, "clean"), degraded=read(i, "degraded"), task=spec.task)
+            for i in range(spec.count)]
 
 
 def cmd_train_teacher(args) -> int:
@@ -138,8 +143,9 @@ def cmd_count(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    seed = args.seed if args.seed is not None else 0
     t0 = time.perf_counter()
-    results = run_gradcheck_suite(args.seed if args.seed is not None else 0)
+    results = run_gradcheck_suite(seed)
     elapsed = time.perf_counter() - t0
     failures = 0
     for r in results:
@@ -147,7 +153,7 @@ def cmd_gradcheck(args) -> int:
         failures += 0 if r.passed(args.tol) else 1
         print(f"{status} {r.name:40} trials={r.trials:3} max_rel_err={r.max_rel_err:.3e}")
     print(f"{total_trials(results)} trials in {elapsed:.1f}s, "
-          f"{failures} failing groups (tolerance {args.tol:g})")
+          f"{failures} failing checks at seed {seed} (tolerance {args.tol:g})")
     return 0 if failures == 0 else 1
 
 

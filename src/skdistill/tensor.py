@@ -702,9 +702,12 @@ def upsample2x_depthwise_conv2d(x, w, bias) -> Tensor:
 
 def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> float:
     """Compare the analytic gradient of a scalar-valued `f` against central
-    finite differences at `x0`; returns the max elementwise relative error
-    with denominator max(|analytic|, |numeric|, 1e-8), or inf when either
-    gradient has a non-finite entry."""
+    finite differences at `x0`; returns the max elementwise relative error,
+    or inf when either gradient has a non-finite entry. Each entry's
+    |analytic - numeric| is first reduced by the stencil's own round-off
+    bound, eps_f64 * (|f(x+h)| + |f(x-h)|) / (2h) with eps_f64 the float64
+    machine epsilon, then divided by max(|analytic|, |numeric|, 1e-8);
+    without it, a correct entry near zero of a large |f| reads as wrong."""
     if not 1e-6 <= eps <= 1e-3:
         raise RangeError(f"gradcheck eps must lie in [1e-6, 1e-3], got {eps}")
     base = np.array(x0.data, dtype=np.float64, copy=True)
@@ -715,23 +718,24 @@ def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> f
     if not np.isfinite(out.data).all():
         raise NonFiniteError("gradcheck: f is non-finite at x0")
     out.backward(leaves=[x])
-    analytic = x.grad.copy()
+    analytic = x.grad.reshape(-1)
 
     def value_at(arr: np.ndarray) -> float:
         return float(f(Tensor(arr, requires_grad=False)).data)
 
-    numeric = np.zeros_like(base)
     flat = base.reshape(-1)
-    num_flat = numeric.reshape(-1)
+    plus, minus = np.empty(flat.size), np.empty(flat.size)
     for i in range(flat.size):
         saved = flat[i]
         flat[i] = saved + eps
-        plus = value_at(base)
+        plus[i] = value_at(base)
         flat[i] = saved - eps
-        minus = value_at(base)
+        minus[i] = value_at(base)
         flat[i] = saved
-        num_flat[i] = (plus - minus) / (2.0 * eps)
+    numeric = (plus - minus) / (2.0 * eps)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         return math.inf
+    roundoff = np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus)) / (2.0 * eps)
+    err = np.maximum(np.abs(analytic - numeric) - roundoff, 0.0)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))
+    return float(np.max(err / denom))

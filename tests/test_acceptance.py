@@ -93,17 +93,22 @@ class TestCompressionAccounting:
 
 class TestGradientSuite:
     def test_all_ops_and_losses_within_tolerance(self):
-        t0 = time.perf_counter()
-        results = run_gradcheck_suite(seed=0)
-        elapsed = time.perf_counter() - t0
-        assert elapsed < 60.0
-        trials = total_trials(results)
-        assert trials >= 100
-        worst = max(results, key=lambda r: r.max_rel_err)
-        failing = [r.name for r in results if not r.passed(1e-4)]
-        assert not failing, failing
-        report(f"gradient suite: {trials} seeded trials, worst rel err "
-               f"{worst.max_rel_err:.2e} ({worst.name}) < 1e-4 in {elapsed:.1f}s")
+        worst, worst_seed, elapsed = None, 0, 0.0
+        for seed in range(10):
+            t0 = time.perf_counter()
+            results = run_gradcheck_suite(seed=seed)
+            elapsed = max(elapsed, time.perf_counter() - t0)
+            assert elapsed < 60.0
+            trials = total_trials(results)
+            assert trials >= 100
+            failing = [r.name for r in results if not r.passed(1e-4)]
+            assert not failing, (seed, failing)
+            top = max(results, key=lambda r: r.max_rel_err)
+            if worst is None or top.max_rel_err > worst.max_rel_err:
+                worst, worst_seed = top, seed
+        report(f"gradient suite: {trials} seeded trials at each of seeds 0-9, worst rel err "
+               f"{worst.max_rel_err:.2e} ({worst.name}, seed {worst_seed}) < 1e-4, "
+               f"slowest seed {elapsed:.1f}s")
 
 
 class TestClosedFormLossIdentities:

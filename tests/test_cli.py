@@ -276,7 +276,7 @@ class TestBoundaryErrors:
         assert key in capsys.readouterr().err
 
     # a missing count must not become CorpusSpec's default
-    @pytest.mark.parametrize("key", ["task", "count", "channels", "base_seed"])
+    @pytest.mark.parametrize("key", ["task", "count", "channels", "patch_size", "base_seed"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
         data, ckpt = dataset
         manifest = json.loads((data / "manifest.json").read_text())
@@ -341,7 +341,19 @@ class TestBoundaryErrors:
         (data / "manifest.json").write_text(json.dumps(manifest))
         code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
         assert code == 1
-        assert "sample 1 is (1, 64, 64), sample 0 is (1, 16, 16)" in err
+        assert f"{data / '00001_clean.pgm'} is (1, 64, 64), the manifest says (1, 16, 16)" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_images_not_of_the_manifest_patch_size(self, tiny_run, dataset, tmp_path, capsys):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        save_working_checkpoint(run, ckpt)
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest["patch_size"] = 64
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert f"{data / '00000_clean.pgm'} is (1, 16, 16), the manifest says (1, 64, 64)" in err
         assert not (tmp_path / "r.json").exists()
 
     def test_manifest_not_json(self, dataset, tmp_path, capsys):
@@ -390,20 +402,23 @@ class TestBoundaryErrors:
 
 
 def test_gradcheck_command_exit_zero(capsys):
-    assert main(["gradcheck", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "trials" in out
+    # seeds 4 and 7 failed on round-off alone before the bound took it off
+    for seed in (0, 4, 7):
+        assert main(["gradcheck", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert "147 trials" in out and f"0 failing checks at seed {seed} " in out
 
 
 def test_gradcheck_command_fails_on_non_finite_gradient(monkeypatch, capsys):
     # finite at x0, NaN numeric gradient: x0 - eps leaves log's domain
     def suite(seed):
-        return [gradsuite._run("log near zero", 1, None,
-                               lambda r: (lambda x: T.sum_(T.log(x)), T.Tensor([5e-6])))]
+        return [gradsuite._run(seed, "log near zero", 1,
+                               lambda r, i: (lambda x: T.sum_(T.log(x)), T.Tensor([5e-6])))]
     monkeypatch.setattr(cli, "run_gradcheck_suite", suite)
     with np.errstate(invalid="ignore"):
         assert main(["gradcheck"]) == 1
-    assert "FAIL log near zero" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL log near zero" in out and "1 failing checks at seed 0 " in out
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4", "x"])

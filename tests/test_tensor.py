@@ -124,13 +124,29 @@ class TestGradcheck:
     def test_non_finite_gradient_fails_the_trial(self):
         # f is finite at x0, but x0 - eps leaves log's domain: the numeric
         # gradient is NaN, which max() would otherwise drop as 0
-        def log_near_zero(r):
+        def log_near_zero(r, i):
             return lambda x: T.sum_(T.log(x)), Tensor([5e-6])
         with np.errstate(invalid="ignore"):
-            assert T.gradcheck(*log_near_zero(None), eps=1e-5) == math.inf
-            result = gradsuite._run("log near zero", 2, rng(), log_near_zero)
+            assert T.gradcheck(*log_near_zero(None, 0), eps=1e-5) == math.inf
+            result = gradsuite._run(0, "log near zero", 2, log_near_zero)
         assert result.max_rel_err == math.inf
         assert not result.passed()
+
+    def test_round_off_of_a_large_f_is_not_an_error(self):
+        # the 2e-9 entry's numeric value carries ~1e-7 of round-off from
+        # |f| ~ 1e4; against a 1e-8 floor alone it read 0.2
+        x0 = Tensor([1e-9, 1.0, -0.3])
+        err = T.gradcheck(lambda x: T.add(T.sum_(T.mul(x, x)), 1e4), x0, eps=1e-5)
+        assert err < 1e-4
+
+    def test_round_off_bound_does_not_hide_a_small_error(self):
+        # the same large |f|, with the gradient of one entry 0.1% wrong
+        def f(x):
+            out = T.add(T.sum_(T.mul(x, x)), 1e4)
+            inner = out._backward
+            out._backward = lambda g: inner(1.001 * g)
+            return out
+        assert T.gradcheck(f, Tensor([0.5, 1.0, -0.3]), eps=1e-5) > 1e-4
 
     @pytest.mark.parametrize("op,make", [
         ("exp", lambda x: T.sum_(T.exp(x))),
@@ -143,6 +159,45 @@ class TestGradcheck:
     def test_op_gradients(self, op, make):
         x0 = Tensor(rng(hash(op) % 2**32).normal(size=(2, 3)))
         assert T.gradcheck(make, x0, eps=1e-5) < 1e-4
+
+
+# the check of each op below, in `gradsuite.CHECKS`
+_OWN_CHECK = {
+    "gelu": "gelu",
+    "layer_norm_channels": "layer_norm_channels",
+    "linear": "linear (w/m/bias)",
+    "softmax_rows": "softmax rows/cols",
+    "conv2d": "conv2d",
+    "depthwise_conv2d": "depthwise_conv2d",
+    "upsample2x_depthwise_conv2d": "upsample2x_depthwise_conv2d (x/w/bias)",
+    "spatial_attend": "spatial_attend (t/s)",
+}
+
+
+class TestGradientSuiteDesign:
+    def test_readings_do_not_depend_on_order_or_on_the_other_checks(self, monkeypatch):
+        def readings():
+            return [(r.name, r.max_rel_err) for r in gradsuite.run_gradcheck_suite(3)]
+        full = readings()
+        monkeypatch.setattr(gradsuite, "CHECKS", gradsuite.CHECKS[::-1])
+        assert readings()[::-1] == full
+        monkeypatch.setattr(gradsuite, "CHECKS", gradsuite.CHECKS[::-1][1:])
+        assert readings() == full[1:]
+
+    @pytest.mark.parametrize("op, check", _OWN_CHECK.items())
+    def test_a_scaled_backward_fails_its_ops_check(self, monkeypatch, op, check):
+        fn = getattr(T, op)
+
+        def scaled(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            inner = out._backward
+            if inner is not None:
+                out._backward = lambda g: inner(1.001 * g)
+            return out
+        monkeypatch.setattr(T, op, scaled)
+        row = next(c for c in gradsuite.CHECKS if c[0] == check)
+        for seed in range(5):
+            assert not gradsuite._run(seed, *row).passed(), seed
 
 
 class TestGraph:
