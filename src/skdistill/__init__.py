@@ -45,22 +45,3 @@ from .models import (
 )
 from .tensor import Tensor, count_macs, gradcheck
 from .trainer import adam_step, cosine_lr, distill, evaluate, train_teacher
-
-__all__ = [
-    "Tensor", "count_macs", "gradcheck",
-    "FeatureMap", "Projector", "project", "make_projector",
-    "channel_cross_attention", "spatial_cross_attention", "cross_net_features",
-    "LossWeights", "PhiExtractor", "gaussian_kernel_distance", "gk_feature_loss",
-    "contrastive_loss_from_features", "reconstruction_loss", "total_loss",
-    "ModelConfig", "RestorationNet", "build_net", "compress_config",
-    "count_params_flops", "reduction_percentages",
-    "CorpusSpec", "Sample", "make_clean_corpus", "make_samples", "degrade",
-    "normalize", "denormalize",
-    "psnr", "ssim",
-    "Checkpoint", "save_checkpoint", "load_checkpoint",
-    "RunConfig", "TrainConfig", "config_hash", "load_run_config", "save_run_config",
-    "adam_step", "cosine_lr", "train_teacher", "distill", "evaluate",
-    "SkdError", "ShapeError", "ConfigError", "RangeError", "NonFiniteError",
-    "DegenerateFeatureError", "CheckpointError", "CheckpointFormatError",
-    "CheckpointVersionError", "CheckpointTruncatedError",
-]

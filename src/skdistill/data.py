@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, RangeError, ShapeError
+from .metrics import gaussian_1d
 from .seeding import rng_for
 
 TASKS = ("denoise", "deblur", "derain")
@@ -119,20 +120,13 @@ def make_clean_corpus(spec: CorpusSpec, *, first_index: int = 0,
     return [make_clean_image(spec, i) for i in range(first_index, first_index + n)]
 
 
-def _gaussian_kernel_1d(sigma: float) -> np.ndarray:
-    if sigma <= 0:
-        return np.array([1.0])
-    radius = max(int(math.ceil(3.0 * sigma)), 1)
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-(xs ** 2) / (2.0 * sigma * sigma))
-    return k / k.sum()
-
-
 def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    kernel = _gaussian_kernel_1d(sigma)
-    if kernel.size == 1:
+    """Separable Gaussian blur with edge padding, taps out to 3 sigma; the
+    identity for sigma <= 0."""
+    if sigma <= 0:
         return img.copy()
-    radius = kernel.size // 2
+    radius = max(int(math.ceil(3.0 * sigma)), 1)
+    kernel = gaussian_1d(2 * radius + 1, sigma)
     out = np.empty_like(img)
     for c in range(img.shape[0]):
         padded = np.pad(img[c], radius, mode="edge")

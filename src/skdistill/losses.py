@@ -22,13 +22,15 @@ from .tensor import Tensor
 
 @dataclass
 class LossWeights:
-    """Every scalar knob of the distillation objective."""
+    """Every knob of the distillation objective; `unified_dim` is the shared
+    width of the per-tap projectors that the kernel loss compares in."""
 
     alpha1: float = 0.5
     alpha2: float = 0.2
     alpha3: float = 0.2
     sigma: float = 1.0
     tau: float = 1e-6
+    unified_dim: int = 8
 
     def __post_init__(self):
         if min(self.alpha1, self.alpha2, self.alpha3) < 0:
@@ -37,6 +39,8 @@ class LossWeights:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
+        if self.unified_dim < 1:
+            raise ConfigError(f"unified_dim must be >= 1, got {self.unified_dim}")
 
 
 def gaussian_kernel_distance(x, y, sigma: float = 1.0) -> Tensor:
@@ -107,43 +111,40 @@ class PhiExtractor:
         return T.reshape(h, (h.size,))
 
 
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """u.v / (|u||v|); raises if either vector has zero norm."""
-    if u.shape != v.shape:
-        raise ShapeError(f"cosine needs matching shapes, got {u.shape} and {v.shape}")
-    nu = T.sqrt(T.sum_(T.mul(u, u)))
-    nv = T.sqrt(T.sum_(T.mul(v, v)))
-    if float(nu.data) == 0.0 or float(nv.data) == 0.0:
-        raise DegenerateFeatureError("zero-norm feature vector in cosine similarity")
-    return T.div(T.sum_(T.mul(u, v)), T.mul(nu, nv))
-
-
-def nce_loss_from_logits(positive: Tensor, negatives: Sequence[Tensor]) -> Tensor:
-    """-log of positive's share of the softmax mass over [positive, *negatives],
-    computed as logsumexp(all) - positive."""
-    if not negatives:
-        raise ConfigError("contrastive loss needs at least one negative")
-    logits = T.concat([T.reshape(l, (1,)) for l in (positive, *negatives)])
-    shift = float(np.max(logits.data))
-    lse = T.add(T.log(T.sum_(T.exp(T.sub(logits, shift)))), shift)
-    return T.sub(lse, positive)
-
-
 def contrastive_loss_from_features(anchor: Tensor, positive: Tensor,
                                    negative_feats: Sequence[Tensor],
                                    tau: float) -> Tensor:
     """Contrastive objective on phi features: pull the anchor toward the
     positive and away from the negatives. Gradient reaches whatever the
     features were computed from; the trainer detaches the positive and
-    negative images so only the anchor (the student output) learns."""
+    negative images so only the anchor (the student output) learns.
+
+    The logits are cos(anchor, feat) / tau for the positive and then each
+    negative, and the loss is -log of the positive's share of their softmax
+    mass, computed as logsumexp(logits) - positive logit. A zero-norm
+    feature vector raises DegenerateFeatureError."""
     if tau <= 0:
         raise RangeError(f"tau must be positive, got {tau}")
     if not negative_feats:
         raise ConfigError("contrastive loss needs at least one negative")
     inv_tau = 1.0 / tau
-    l_pos = T.mul(cosine_similarity(anchor, positive), inv_tau)
-    l_neg = [T.mul(cosine_similarity(anchor, feat), inv_tau) for feat in negative_feats]
-    return nce_loss_from_logits(l_pos, l_neg)
+
+    def logit(feat: Tensor) -> Tensor:
+        if feat.shape != anchor.shape:
+            raise ShapeError(
+                f"cosine needs matching shapes, got {anchor.shape} and {feat.shape}")
+        nu = T.sqrt(T.sum_(T.mul(anchor, anchor)))
+        nv = T.sqrt(T.sum_(T.mul(feat, feat)))
+        if float(nu.data) == 0.0 or float(nv.data) == 0.0:
+            raise DegenerateFeatureError("zero-norm feature vector in cosine similarity")
+        return T.mul(T.div(T.sum_(T.mul(anchor, feat)), T.mul(nu, nv)), inv_tau)
+
+    l_pos = logit(positive)
+    l_neg = [logit(feat) for feat in negative_feats]
+    logits = T.concat([T.reshape(l, (1,)) for l in (l_pos, *l_neg)])
+    shift = float(np.max(logits.data))
+    lse = T.add(T.log(T.sum_(T.exp(T.sub(logits, shift)))), shift)
+    return T.sub(lse, l_pos)
 
 
 def reconstruction_loss(s_r: Tensor, g: Tensor) -> Tensor:

@@ -40,7 +40,7 @@ def psnr(a, b, data_range: float = 1.0) -> float:
     return min(10.0 * math.log10(data_range * data_range / mse), PSNR_CAP_DB)
 
 
-def _gaussian_1d(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
+def gaussian_1d(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     """Normalized 1-D Gaussian weights."""
     half = (size - 1) / 2.0
     coords = np.arange(size) - half
@@ -50,7 +50,7 @@ def _gaussian_1d(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarr
 
 def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
     """Normalized 2-D Gaussian weights: the outer product of the 1-D ones."""
-    one_d = _gaussian_1d(size, sigma)
+    one_d = gaussian_1d(size, sigma)
     return np.outer(one_d, one_d)
 
 
@@ -60,7 +60,7 @@ def _gaussian_filter_valid(x: np.ndarray) -> np.ndarray:
     The window is separable (Wang et al., IEEE TIP 2004), so it runs as one
     pass of the 1-D weights along rows and one along columns: 2 x 11 taps
     per output instead of 121."""
-    g = _gaussian_1d()
+    g = gaussian_1d()
     h_out, w_out = x.shape[1] - SSIM_WINDOW + 1, x.shape[2] - SSIM_WINDOW + 1
     rows = g[0] * x[:, :, :w_out]
     for k in range(1, SSIM_WINDOW):

@@ -49,7 +49,6 @@ class ModelConfig(DictConfig):
 
     level_layers: list[int] = field(default_factory=lambda: [1, 1])
     base_channels: int = 8
-    unified_dim: int = 8
     input_channels: int = 1
 
     def __post_init__(self):
@@ -58,8 +57,8 @@ class ModelConfig(DictConfig):
         if any(int(n) < 1 for n in self.level_layers):
             raise ConfigError(f"all level layer counts must be >= 1, got {self.level_layers}")
         self.level_layers = [int(n) for n in self.level_layers]
-        if self.base_channels < 1 or self.unified_dim < 1:
-            raise ConfigError("channel widths must be >= 1")
+        if self.base_channels < 1:
+            raise ConfigError(f"base_channels must be >= 1, got {self.base_channels}")
         if self.input_channels not in (1, 3):
             raise ConfigError(f"input_channels must be 1 or 3, got {self.input_channels}")
 
@@ -95,7 +94,6 @@ def compress_config(teacher: ModelConfig, layer_scale: list[int],
         raise ConfigError(
             f"student base channels {channels} exceed teacher {teacher.base_channels}")
     return ModelConfig(level_layers=list(layer_scale), base_channels=channels,
-                       unified_dim=teacher.unified_dim,
                        input_channels=teacher.input_channels)
 
 
@@ -183,10 +181,10 @@ class RestorationNet:
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "RestorationNet":
         """Frozen net for `cfg` holding float64 copies of `arrays`, in layout
         order; draws no random numbers. Names and shapes must match the
-        layout (`opt.`/`aux.` extras are ignored) and values must be finite."""
+        layout exactly and values must be finite."""
         shapes = {spec.name: spec.shape for spec in param_layout(cfg)}
         missing = set(shapes) - set(arrays)
-        extra = {k for k in set(arrays) - set(shapes) if not k.startswith(("opt.", "aux."))}
+        extra = set(arrays) - set(shapes)
         if missing or extra:
             raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         state = {}

@@ -700,16 +700,19 @@ def upsample2x_depthwise_conv2d(x, w, bias) -> Tensor:
                  (x, w, bias), backward)
 
 
-def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> float:
+GRADCHECK_STEP = 1e-5  # h of the central differences in `gradcheck`
+
+
+def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor) -> float:
     """Compare the analytic gradient of a scalar-valued `f` against central
-    finite differences at `x0`; returns the max elementwise relative error,
-    or inf when either gradient has a non-finite entry. Each entry's
-    |analytic - numeric| is first reduced by the stencil's own round-off
-    bound, eps_f64 * (|f(x+h)| + |f(x-h)|) / (2h) with eps_f64 the float64
-    machine epsilon, then divided by max(|analytic|, |numeric|, 1e-8);
-    without it, a correct entry near zero of a large |f| reads as wrong."""
-    if not 1e-6 <= eps <= 1e-3:
-        raise RangeError(f"gradcheck eps must lie in [1e-6, 1e-3], got {eps}")
+    finite differences of step h = GRADCHECK_STEP at `x0`; returns the max
+    elementwise relative error, or inf when either gradient has a non-finite
+    entry. Each entry's |analytic - numeric| is first reduced by the
+    stencil's own round-off bound, eps_f64 * (|f(x+h)| + |f(x-h)|) / (2h)
+    with eps_f64 the float64 machine epsilon, then divided by
+    max(|analytic|, |numeric|, 1e-8); without it, a correct entry near zero
+    of a large |f| reads as wrong."""
+    h = GRADCHECK_STEP
     base = np.array(x0.data, dtype=np.float64, copy=True)
     x = Tensor(base.copy(), requires_grad=True)
     out = f(x)
@@ -727,15 +730,15 @@ def gradcheck(f: Callable[[Tensor], Tensor], x0: Tensor, eps: float = 1e-5) -> f
     plus, minus = np.empty(flat.size), np.empty(flat.size)
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + eps
+        flat[i] = saved + h
         plus[i] = value_at(base)
-        flat[i] = saved - eps
+        flat[i] = saved - h
         minus[i] = value_at(base)
         flat[i] = saved
-    numeric = (plus - minus) / (2.0 * eps)
+    numeric = (plus - minus) / (2.0 * h)
     if not (np.isfinite(analytic).all() and np.isfinite(numeric).all()):
         return math.inf
-    roundoff = np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus)) / (2.0 * eps)
+    roundoff = np.finfo(np.float64).eps * (np.abs(plus) + np.abs(minus)) / (2.0 * h)
     err = np.maximum(np.abs(analytic - numeric) - roundoff, 0.0)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(err / denom))

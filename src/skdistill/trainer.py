@@ -159,8 +159,9 @@ def _batch_step(objective, batch: list[Sample], params: list[Tensor],
     sweep of one graph over the whole batch reaches the last sample's nodes
     first, and each parameter gets one contribution per sample, so summing
     the per-sample gradients in this order gives that sweep's bits. The loss
-    and its components are recombined from the per-sample values in forward
-    order, with the association of the batch mean.
+    components are recombined from the per-sample values in forward order,
+    with the association of the batch mean, and the loss is `total_loss` of
+    those means.
     """
     sample_terms = objective(batch)
     inv_b = 1.0 / len(batch)
@@ -183,7 +184,7 @@ def _batch_step(objective, batch: list[Sample], params: list[Tensor],
     values.reverse()
     rec, gk, cl = (functools.reduce(operator.add, column) * inv_b
                    for column in zip(*values))
-    loss = rec + (w.alpha2 * gk + w.alpha3 * cl)
+    loss = total_loss(rec, gk, cl, w).item()
     if not math.isfinite(loss):
         raise NonFiniteError(f"non-finite loss at step {step}")
     return loss, {"rec": rec, "gk": gk, "cl": cl}, grads
@@ -290,7 +291,7 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint,
         train_samples, heldout = make_train_heldout(run)
     w = run.train.loss
     student = build_net(run.student_model, derive_seed(run.train.seed, "student"))
-    d_u = run.student_model.unified_dim
+    d_u = w.unified_dim
     proj_rng = rng_for(run.train.seed, "projectors")
     # one (teacher, student) pair per tap, p_t drawn before p_s
     pairs = [(make_projector(c_t, d_u, proj_rng), make_projector(c_s, d_u, proj_rng))

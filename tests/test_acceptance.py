@@ -61,7 +61,7 @@ def report(line: str) -> None:
     print(f"\n[PASS] {line}")
 
 
-TEACHER_CFG = ModelConfig([4, 6, 6, 8], 48, 48, 1)
+TEACHER_CFG = ModelConfig([4, 6, 6, 8], 48, 1)
 STUDENT_CFG = compress_config(TEACHER_CFG, [1, 2, 2, 4], 32)
 
 
@@ -176,8 +176,8 @@ class TestInteractionBruteForce:
 
 def smoke_run_config() -> RunConfig:
     return RunConfig(
-        model=ModelConfig([1, 1], base_channels=16, unified_dim=8, input_channels=1),
-        student_model=ModelConfig([1, 1], base_channels=8, unified_dim=8, input_channels=1),
+        model=ModelConfig([1, 1], base_channels=16, input_channels=1),
+        student_model=ModelConfig([1, 1], base_channels=8, input_channels=1),
         train=TrainConfig(epochs=100, batch_size=4, eval_interval=250, seed=0),
         data=CorpusSpec(count=40, patch_size=32, channels=1, task="denoise",
                         noise_sigma=0.1, base_seed=0),
@@ -224,10 +224,8 @@ class TestDeterminism:
 
         def one_run():
             run = RunConfig(
-                model=ModelConfig([1, 1], base_channels=6, unified_dim=4,
-                                  input_channels=1),
-                student_model=ModelConfig([1, 1], base_channels=4, unified_dim=4,
-                                          input_channels=1),
+                model=ModelConfig([1, 1], base_channels=6, input_channels=1),
+                student_model=ModelConfig([1, 1], base_channels=4, input_channels=1),
                 train=TrainConfig(epochs=2, batch_size=4, eval_interval=100, seed=21),
                 data=CorpusSpec(count=8, patch_size=16, task="denoise",
                                 noise_sigma=0.1, base_seed=21),
@@ -275,7 +273,7 @@ class TestMetricOracles:
 class TestCheckpointRoundtrip:
     def test_lossless_and_error_kinds(self):
         g = np.random.default_rng(3)
-        net = build_net(ModelConfig([1, 1], 6, 4, 1), 9)
+        net = build_net(ModelConfig([1, 1], 6, 1), 9)
         ckpt = Checkpoint(step=77,
                           meta={"kind": "teacher", "model": net.cfg.to_dict()},
                           tensors={f"net.{k}": v for k, v in net.state_arrays().items()})

@@ -50,7 +50,7 @@ class TestRoundtrip:
             assert back.tensors[name].shape == np.asarray(ckpt.tensors[name]).shape
 
     def test_net_parameters_roundtrip(self, tmp_path):
-        net = build_net(ModelConfig([1, 1], 4, 4, 1), 5)
+        net = build_net(ModelConfig([1, 1], 4, 1), 5)
         ckpt = Checkpoint(step=0, meta={"model": net.cfg.to_dict()},
                           tensors={f"net.{k}": v for k, v in net.state_arrays().items()})
         save_checkpoint(ckpt, tmp_path / "n.skdc")
@@ -203,7 +203,7 @@ class TestStructuralErrors:
 
 
 def net_blob():
-    net = build_net(ModelConfig([1, 1], 4, 4, 1), 5)
+    net = build_net(ModelConfig([1, 1], 4, 1), 5)
     return checkpoint_to_bytes(Checkpoint(
         step=3, meta={"kind": "teacher", "model": net.cfg.to_dict()},
         tensors={f"net.{k}": v for k, v in net.state_arrays().items()}))

@@ -26,8 +26,8 @@ from skdistill.trainer import TrainResult
 @pytest.fixture()
 def tiny_run(tmp_path):
     run = RunConfig(
-        model=ModelConfig([1, 1], base_channels=6, unified_dim=4, input_channels=1),
-        student_model=ModelConfig([1, 1], base_channels=4, unified_dim=4, input_channels=1),
+        model=ModelConfig([1, 1], base_channels=6, input_channels=1),
+        student_model=ModelConfig([1, 1], base_channels=4, input_channels=1),
         train=TrainConfig(epochs=2, batch_size=4, eval_interval=50, seed=3),
         data=CorpusSpec(count=8, patch_size=16, task="denoise", noise_sigma=0.1, base_seed=3),
     )
@@ -37,7 +37,7 @@ def tiny_run(tmp_path):
 
 
 def write_model_config(tmp_path, name, layers, channels):
-    run = RunConfig(model=ModelConfig(layers, channels, channels, 1))
+    run = RunConfig(model=ModelConfig(layers, channels, 1))
     path = tmp_path / name
     save_run_config(run, path)
     return path
@@ -275,6 +275,31 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
+    # the projector width is `train.loss.unified_dim`, not a model field
+    @pytest.mark.parametrize("section", ["model", "student_model"])
+    def test_model_projector_width_is_a_config_error(self, tiny_run, tmp_path, capsys,
+                                                     section):
+        run, _ = tiny_run
+        blob = run.to_dict()
+        blob[section]["unified_dim"] = 8
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=section):
+            load_run_config(path)
+        assert main(["count", "--config", str(path)]) == 1
+        assert "unified_dim" in capsys.readouterr().err
+
+    def test_checkpoint_model_with_projector_width(self, tiny_run, dataset, tmp_path,
+                                                   capsys):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        tensors = {f"net.{k}": v for k, v in build_net(run.model, 0).state_arrays().items()}
+        model = {**run.model.to_dict(), "unified_dim": 8}
+        save_checkpoint(Checkpoint(meta={"model": model}, tensors=tensors), ckpt)
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert "unified_dim" in err and "Traceback" not in err
+
     # a missing count must not become CorpusSpec's default
     @pytest.mark.parametrize("key", ["task", "count", "channels", "patch_size", "base_seed"])
     def test_manifest_missing_key(self, dataset, tmp_path, capsys, key):
@@ -441,7 +466,7 @@ def argv_pool(tmp_path_factory):
     """Paths for the fuzz of `main`: good and bad configs, data and checkpoints."""
     root = tmp_path_factory.mktemp("fuzz")
     run = RunConfig(
-        model=ModelConfig([1, 1], base_channels=4, unified_dim=4, input_channels=1),
+        model=ModelConfig([1, 1], base_channels=4, input_channels=1),
         data=CorpusSpec(count=2, patch_size=16, task="denoise", noise_sigma=0.1, base_seed=1))
     good = root / "good.json"
     save_run_config(run, good)

@@ -29,8 +29,9 @@ class TestDefaults:
         assert (w.alpha1, w.alpha2, w.alpha3) == (0.5, 0.2, 0.2)
         assert w.tau == 1e-6
         assert w.sigma == 1.0
+        assert w.unified_dim == 8
         assert [f.name for f in dataclasses.fields(w)] == \
-            ["alpha1", "alpha2", "alpha3", "sigma", "tau"]
+            ["alpha1", "alpha2", "alpha3", "sigma", "tau", "unified_dim"]
 
     def test_train_defaults(self):
         t = TrainConfig()
@@ -50,6 +51,8 @@ class TestDefaults:
         with pytest.raises(ConfigError):
             LossWeights(tau=-1.0)
         with pytest.raises(ConfigError):
+            LossWeights(unified_dim=0)
+        with pytest.raises(ConfigError):
             TrainConfig(seed=-1)
         with pytest.raises(ConfigError):
             CorpusSpec(base_seed=-1)
@@ -58,10 +61,10 @@ class TestDefaults:
 class TestRoundtrip:
     def make_run(self):
         return RunConfig(
-            model=ModelConfig([2, 3], 8, 16, 1),
-            student_model=ModelConfig([1, 2], 4, 16, 1),
+            model=ModelConfig([2, 3], 8, 1),
+            student_model=ModelConfig([1, 2], 4, 1),
             train=TrainConfig(epochs=3, batch_size=4, seed=11,
-                              loss=LossWeights(alpha2=0.3, tau=0.5)),
+                              loss=LossWeights(alpha2=0.3, tau=0.5, unified_dim=16)),
             data=CorpusSpec(count=12, patch_size=16, task="deblur", blur_sigma=0.9),
         )
 

@@ -21,11 +21,9 @@ from skdistill.losses import (
     LossWeights,
     PhiExtractor,
     contrastive_loss_from_features,
-    cosine_similarity,
     gaussian_kernel_distance,
     gk_block_loss,
     gk_feature_loss,
-    nce_loss_from_logits,
     reconstruction_loss,
     total_loss,
 )
@@ -81,7 +79,7 @@ class TestGaussianKernelDistance:
         g = np.random.default_rng(1)
         y = Tensor(g.normal(size=(2, 3)))
         err = T.gradcheck(lambda x: gaussian_kernel_distance(x, y, 0.8),
-                          Tensor(g.normal(size=(2, 3))), eps=1e-5)
+                          Tensor(g.normal(size=(2, 3))))
         assert err < 1e-4
 
     def test_gradcheck_composed_with_softmax_mixing(self):
@@ -90,7 +88,7 @@ class TestGaussianKernelDistance:
         t = Tensor(g.normal(size=(3, 4)))
         err = T.gradcheck(
             lambda x: gaussian_kernel_distance(T.matmul(T.softmax_rows(x), y), t),
-            Tensor(g.normal(size=(3, 3))), eps=1e-5)
+            Tensor(g.normal(size=(3, 3))))
         assert err < 1e-4
 
 
@@ -155,33 +153,47 @@ class TestContrastiveLoss:
 
     def test_derived_two_point_value(self):
         # cos(anchor, pos) = 1, cos(anchor, neg) = -1, tau = 0.5
-        loss = nce_loss_from_logits(Tensor(2.0), [Tensor(-2.0)]).item()
+        u = np.array([3.0, 4.0])
+        loss = contrastive_loss_from_features(Tensor(u), Tensor(u), [Tensor(-u)], 0.5).item()
         want = -math.log(math.exp(2.0) / (math.exp(2.0) + math.exp(-2.0)))
         assert abs(loss - want) < 1e-12
         assert abs(loss - 0.0181499) < 1e-7
 
     def test_hard_max_limit(self):
-        tau = 1e-6
-        logits = [Tensor(1.0 / tau), Tensor(0.3 / tau), Tensor(-0.2 / tau)]
-        assert nce_loss_from_logits(logits[0], logits[1:]).item() == 0.0
+        anchor = Tensor([1.0, 0.0])
+        negatives = [Tensor([0.3, 0.7]), Tensor([-0.2, 0.9])]
+        loss = contrastive_loss_from_features(anchor, anchor, negatives, 1e-6)
+        assert loss.item() == 0.0
 
     def test_monotone_in_positive_cosine(self):
-        neg = [Tensor(0.2 / 0.5), Tensor(-0.4 / 0.5)]
-        values = [nce_loss_from_logits(Tensor(c / 0.5), neg).item()
+        anchor = Tensor([1.0, 0.0])
+        neg = [Tensor([0.2, math.sqrt(1 - 0.2 ** 2)]), Tensor([-0.4, math.sqrt(1 - 0.4 ** 2)])]
+        values = [contrastive_loss_from_features(
+                      anchor, Tensor([c, math.sqrt(1 - c * c)]), neg, 0.5).item()
                   for c in np.linspace(-0.9, 0.9, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_cosine_scale_invariance(self):
         g = np.random.default_rng(3)
-        u, v = Tensor(g.normal(size=16)), Tensor(g.normal(size=16))
-        base = cosine_similarity(u, v).item()
+        u, v, n = (g.normal(size=16) for _ in range(3))
+        base = contrastive_loss_from_features(Tensor(u), Tensor(v), [Tensor(n)], 0.5).item()
         for scale in (1e-3, 7.5, 1e4):
-            got = cosine_similarity(Tensor(u.data * scale), v).item()
-            assert abs(got - base) < 1e-9
+            for args in ((u * scale, v, n), (u, v * scale, n), (u, v, n * scale)):
+                anchor, pos, neg = map(Tensor, args)
+                got = contrastive_loss_from_features(anchor, pos, [neg], 0.5).item()
+                assert abs(got - base) < 1e-9
 
     def test_zero_norm_feature_raises(self):
-        with pytest.raises(DegenerateFeatureError):
-            cosine_similarity(Tensor(np.zeros(4)), Tensor(np.ones(4)))
+        for zero in range(3):
+            anchor, pos, neg = (Tensor(np.zeros(4) if i == zero else np.ones(4))
+                                for i in range(3))
+            with pytest.raises(DegenerateFeatureError):
+                contrastive_loss_from_features(anchor, pos, [neg], 0.5)
+
+    def test_feature_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="matching shapes"):
+            contrastive_loss_from_features(Tensor(np.ones(4)), Tensor(np.ones(4)),
+                                           [Tensor(np.ones(5))], 0.5)
 
     def test_gradient_flows_to_anchor_only(self):
         g = np.random.default_rng(4)
@@ -204,7 +216,7 @@ class TestContrastiveLoss:
         negs = [phi(Tensor(g.normal(size=(1, 8, 8)))) for _ in range(2)]
         err = T.gradcheck(
             lambda x: contrastive_loss_from_features(phi(x), pos, negs, 0.5),
-            Tensor(g.normal(size=(1, 8, 8))), eps=1e-5)
+            Tensor(g.normal(size=(1, 8, 8))))
         assert err < 1e-4
 
     def test_needs_negatives(self):
@@ -238,7 +250,7 @@ class TestReconstructionLoss:
         g = np.random.default_rng(7)
         target = Tensor(g.normal(size=(1, 3, 3)))
         err = T.gradcheck(lambda x: reconstruction_loss(x, target),
-                          Tensor(g.normal(size=(1, 3, 3))), eps=1e-5)
+                          Tensor(g.normal(size=(1, 3, 3))))
         assert err < 1e-4
 
 

@@ -19,7 +19,7 @@ from skdistill.tensor import Tensor
 
 
 def small_cfg(**kw):
-    defaults = dict(level_layers=[1, 1], base_channels=4, unified_dim=4, input_channels=1)
+    defaults = dict(level_layers=[1, 1], base_channels=4, input_channels=1)
     defaults.update(kw)
     return ModelConfig(**defaults)
 
@@ -49,7 +49,7 @@ class TestModelConfig:
         assert [cfg.channels_at(l) for l in (1, 2, 3)] == [12, 24, 48]
 
     def test_roundtrip_dict(self):
-        cfg = ModelConfig([2, 3], 8, 16, 3)
+        cfg = ModelConfig([2, 3], 8, 3)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"level_layers": [1], "bogus": 2})
@@ -57,25 +57,25 @@ class TestModelConfig:
 
 class TestCompressConfig:
     def test_reference_pair(self):
-        teacher = ModelConfig([4, 6, 6, 8], 48, 48, 1)
+        teacher = ModelConfig([4, 6, 6, 8], 48, 1)
         student = compress_config(teacher, [1, 2, 2, 4], 32)
         assert student.level_layers == [1, 2, 2, 4]
         assert student.base_channels == 32
         assert student.input_channels == teacher.input_channels
 
     def test_identity_scaling(self):
-        teacher = ModelConfig([2, 3], 8, 8, 1)
+        teacher = ModelConfig([2, 3], 8, 1)
         student = compress_config(teacher, [2, 3], 8)
         assert student == teacher
 
     def test_second_reference_pair(self):
-        teacher = ModelConfig([1, 2, 8, 8], 32, 32, 1)
+        teacher = ModelConfig([1, 2, 8, 8], 32, 1)
         student = compress_config(teacher, [1, 2, 4, 4], 16)
         assert student.level_layers == [1, 2, 4, 4]
         assert student.base_channels == 16
 
     def test_student_exceeding_teacher_rejected(self):
-        teacher = ModelConfig([2, 2], 8, 8, 1)
+        teacher = ModelConfig([2, 2], 8, 1)
         with pytest.raises(ConfigError):
             compress_config(teacher, [3, 2], 8)
         with pytest.raises(ConfigError):
@@ -95,14 +95,14 @@ class TestBuildNet:
         assert a.params()["embed.w"].data.tobytes() != c.params()["embed.w"].data.tobytes()
 
     def test_student_params_strictly_fewer(self):
-        teacher = ModelConfig([4, 6, 6, 8], 48, 48, 1)
+        teacher = ModelConfig([4, 6, 6, 8], 48, 1)
         student = compress_config(teacher, [1, 2, 2, 4], 32)
         tp, _ = count_params_flops(teacher, 128, 128)
         sp, _ = count_params_flops(student, 128, 128)
         assert sp < tp
 
     def test_smallest_config_forward(self):
-        cfg = ModelConfig([1], base_channels=4, unified_dim=4, input_channels=1)
+        cfg = ModelConfig([1], base_channels=4, input_channels=1)
         net = build_net(cfg, 0)
         out, feats = net.forward_with_features(Tensor(np.zeros((1, 8, 8))))
         assert out.shape == (1, 8, 8)
@@ -123,6 +123,9 @@ class TestBuildNet:
         edits = [
             (lambda s: s.pop("lat.b0.ln1.g"), "missing=\\['lat.b0.ln1.g'\\]"),
             (lambda s: s.update(stray=np.zeros(1)), "extra=\\['stray'\\]"),
+            # `load_net` strips the `net.` prefix, so these are strays too
+            (lambda s: s.update({"aux.junk": np.zeros(1)}), "extra=\\['aux.junk'\\]"),
+            (lambda s: s.update({"opt.m.x": np.zeros(1)}), "extra=\\['opt.m.x'\\]"),
             (lambda s: s.update({"embed.b": np.zeros(5)}), "embed.b has shape \\(5,\\)"),
         ]
         for edit, message in edits:
@@ -160,7 +163,7 @@ class TestForward:
         assert np.array_equal(out.data, x.data)
 
     def test_three_level_feature_shapes(self):
-        cfg = ModelConfig([1, 1, 1], base_channels=4, unified_dim=4, input_channels=1)
+        cfg = ModelConfig([1, 1, 1], base_channels=4, input_channels=1)
         net = build_net(cfg, 1)
         _, feats = net.forward_with_features(Tensor(np.zeros((1, 16, 16))))
         assert [f.channels for f in feats] == cfg.tap_channels() == [4, 8, 16, 8, 4]
@@ -170,7 +173,7 @@ class TestForward:
         assert decoder_shapes == [(8, 8, 8), (4, 16, 16)]
 
     def test_indivisible_extent_names_divisor(self):
-        cfg = ModelConfig([1, 1, 1], base_channels=4, unified_dim=4, input_channels=1)
+        cfg = ModelConfig([1, 1, 1], base_channels=4, input_channels=1)
         net = build_net(cfg, 0)
         with pytest.raises(ShapeError, match="divisible by 4"):
             net.forward_with_features(Tensor(np.zeros((1, 10, 12))))
@@ -181,7 +184,6 @@ class TestForward:
         levels = int(g.integers(1, 4))
         cfg = ModelConfig([int(g.integers(1, 3)) for _ in range(levels)],
                           base_channels=int(g.integers(2, 6)),
-                          unified_dim=4,
                           input_channels=int(g.choice([1, 3])))
         size = cfg.spatial_divisor * int(g.integers(2, 5))
         net = build_net(cfg, seed)
@@ -201,7 +203,7 @@ class TestForward:
         assert runs[0] == runs[1]
 
     def test_gradcheck_on_sampled_parameter(self):
-        cfg = ModelConfig([1], base_channels=4, unified_dim=4, input_channels=1)
+        cfg = ModelConfig([1], base_channels=4, input_channels=1)
         net = build_net(cfg, 2)
         g = np.random.default_rng(3)
         # the zero-initialized final projection would hide interior gradients
@@ -221,7 +223,7 @@ class TestForward:
         leaf = Tensor(original.data.copy(), requires_grad=True)
         f(leaf).backward(leaves=[leaf])
         assert np.any(leaf.grad != 0.0)  # guard against a vacuous check
-        assert T.gradcheck(f, Tensor(original.data.copy()), eps=1e-5) < 1e-4
+        assert T.gradcheck(f, Tensor(original.data.copy())) < 1e-4
 
 
 class TestAccounting:
@@ -231,7 +233,6 @@ class TestAccounting:
         levels = int(g.integers(1, 4))
         cfg = ModelConfig([int(g.integers(1, 4)) for _ in range(levels)],
                           base_channels=int(g.integers(2, 7)),
-                          unified_dim=4,
                           input_channels=int(g.choice([1, 3])))
         # h != w, so a count that mixes up the two extents fails
         h, w = cfg.spatial_divisor * g.choice(np.arange(2, 6), size=2, replace=False)
@@ -246,11 +247,11 @@ class TestAccounting:
     # are the three reference teacher -> student pairs at 128x128, and
     # `skdistill count --config T --baseline S` reports any pair
     @pytest.mark.parametrize("teacher, scale, channels, counts", [
-        (ModelConfig([4, 6, 6, 8], 48, 48, 3), [1, 2, 2, 4], 32,
+        (ModelConfig([4, 6, 6, 8], 48, 3), [1, 2, 2, 4], 32,
          (21_636_771, 3_688_131, 41_702_031_360, 5_949_030_400)),
-        (ModelConfig([1, 2, 8, 8], 32, 32, 3), [1, 2, 4, 4], 16,
+        (ModelConfig([1, 2, 8, 8], 32, 3), [1, 2, 4, 4], 16,
          (10_174_147, 1_121_379, 14_404_747_264, 1_963_687_936)),
-        (ModelConfig([4, 4, 6, 6, 8], 48, 48, 3), [2, 2, 2, 2, 4], 32,
+        (ModelConfig([4, 4, 6, 6, 8], 48, 3), [2, 2, 2, 2, 4], 32,
          (86_562_339, 14_817_987, 49_520_001_024, 8_417_935_360)),
     ], ids=["restormer-shaped", "uformer-shaped", "drsformer-shaped"])
     def test_reference_pairs_are_pinned(self, teacher, scale, channels, counts):
@@ -270,14 +271,14 @@ class TestAccounting:
         assert count_params_flops(cfg, size, size) == counts
 
     def test_reference_reduction_window(self):
-        teacher = ModelConfig([4, 6, 6, 8], 48, 48, 1)
+        teacher = ModelConfig([4, 6, 6, 8], 48, 1)
         student = compress_config(teacher, [1, 2, 2, 4], 32)
         p_red, f_red = reduction_percentages(teacher, student, 128, 128)
         assert 80.0 <= p_red <= 90.0
         assert 80.0 <= f_red <= 90.0
 
     def test_five_level_config_supported(self):
-        teacher = ModelConfig([4, 4, 6, 6, 8], 48, 48, 1)
+        teacher = ModelConfig([4, 4, 6, 6, 8], 48, 1)
         student = compress_config(teacher, [2, 2, 2, 2, 4], 32)
         p_red, f_red = reduction_percentages(teacher, student, 128, 128)
         assert 80.0 <= p_red <= 90.0
@@ -285,4 +286,4 @@ class TestAccounting:
 
     def test_bad_extents(self):
         with pytest.raises(ShapeError):
-            count_params_flops(ModelConfig([1, 1], 4, 4, 1), 9, 8)
+            count_params_flops(ModelConfig([1, 1], 4, 1), 9, 8)

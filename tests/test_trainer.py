@@ -32,8 +32,8 @@ from oracles import one_graph_step
 
 def tiny_run(**overrides):
     defaults = dict(
-        model=ModelConfig([1, 1], base_channels=6, unified_dim=4, input_channels=1),
-        student_model=ModelConfig([1, 1], base_channels=4, unified_dim=4, input_channels=1),
+        model=ModelConfig([1, 1], base_channels=6, input_channels=1),
+        student_model=ModelConfig([1, 1], base_channels=4, input_channels=1),
         train=TrainConfig(epochs=2, batch_size=4, eval_interval=100, seed=5),
         data=CorpusSpec(count=8, patch_size=16, task="denoise", noise_sigma=0.1, base_seed=5),
     )
@@ -118,7 +118,7 @@ class TestTeacherTraining:
 
     def test_two_hundred_step_toy_task_halves_loss(self):
         run = RunConfig(
-            model=ModelConfig([1, 1], base_channels=12, unified_dim=8, input_channels=1),
+            model=ModelConfig([1, 1], base_channels=12, input_channels=1),
             train=TrainConfig(epochs=20, batch_size=4, eval_interval=300, seed=0,
                               lr_max=1e-3),
             data=CorpusSpec(count=40, patch_size=16, task="denoise",
@@ -213,7 +213,7 @@ class TestDistillation:
         w = run.train.loss
         for h in res.history:
             recombined = h["rec"] + (w.alpha2 * h["gk"] + w.alpha3 * h["cl"])
-            assert abs(h["loss"] - recombined) < 1e-12
+            assert h["loss"] == recombined
             assert h["gk"] > 0.0
             assert h["cl"] >= 0.0
 
@@ -242,9 +242,16 @@ class TestDistillation:
         for k in d_net:
             assert d_net[k].tobytes() == p_net[k].tobytes()
 
+    def test_projector_width_is_the_loss_unified_dim(self, teacher_ckpt):
+        run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5,
+                                         loss=LossWeights(unified_dim=3)))
+        res = distill(run, teacher_ckpt, *make_train_heldout(run))
+        widths = {arr.shape[0] for name, arr in res.checkpoint.tensors.items()
+                  if name.startswith("aux.proj")}
+        assert widths == {3}
+
     def test_level_count_mismatch_rejected(self):
-        run = tiny_run(student_model=ModelConfig([1], base_channels=4,
-                                                 unified_dim=4, input_channels=1))
+        run = tiny_run(student_model=ModelConfig([1], base_channels=4, input_channels=1))
         samples, held = make_train_heldout(run)
         teacher = train_teacher(run, samples, held)
         with pytest.raises(ConfigError):
