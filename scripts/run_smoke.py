@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Desk-scale end-to-end run: train a teacher on synthetic denoising,
 distill a compact student against it, and compare both with a plain
-(reconstruction-only) student baseline.
+(reconstruction-only) student baseline. The plain student is `distill` at
+alpha2 = alpha3 = 0, so it starts from the distilled student's init and
+differs from it only in the loss weights.
 
 The run is `configs/denoise32.json` with its epochs, seeds and, under
 --paper-tau, contrastive temperature replaced. That config's moderate
@@ -21,7 +23,7 @@ from pathlib import Path
 from skdistill.config import load_run_config
 from skdistill.losses import LossWeights
 from skdistill.models import count_params_flops, reduction_percentages
-from skdistill.trainer import distill, make_train_heldout, train_restoration, train_teacher
+from skdistill.trainer import distill, make_train_heldout, train_teacher
 
 CONFIG = Path(__file__).resolve().parents[1] / "configs" / "denoise32.json"
 
@@ -46,6 +48,8 @@ def main() -> int:
     batches_per_epoch = data.count // base.train.batch_size
     run = with_epochs(max(1, args.steps // batches_per_epoch))
     student_run = with_epochs(max(1, args.steps // (2 * batches_per_epoch)))
+    plain_loss = replace(loss, alpha2=0.0, alpha3=0.0)
+    plain_run = replace(student_run, train=replace(student_run.train, loss=plain_loss))
     print(f"corpus: {data.count} train patches, task={data.task}, "
           f"sigma={data.noise_sigma}, patch={data.patch_size}")
     samples, held = make_train_heldout(run)
@@ -66,7 +70,7 @@ def main() -> int:
           f"(rec {last['rec']:.4f}, gk {last['gk']:.4f}, cl {last['cl']:.4f})")
 
     t0 = time.perf_counter()
-    plain = train_restoration(run.student_model, student_run, "plain-baseline", samples, held)
+    plain = distill(plain_run, teacher.checkpoint, samples, held)
     p_ev = plain.eval_history[-1]
     print(f"plain     [{plain.checkpoint.step:5d} steps, "
           f"{time.perf_counter()-t0:5.0f}s]  psnr {p_ev['psnr_restored']:.2f} dB "

@@ -3,7 +3,9 @@
 Teacher training minimizes the reconstruction term alone. Distillation
 optimizes the full weighted objective over the student parameters plus the
 per-tap projectors; the teacher is loaded frozen and its features enter
-the interaction detached, so its bytes never change.
+the interaction detached, so its bytes never change. At alpha2 = alpha3 = 0
+distillation is plain reconstruction training of the student: the teacher
+and phi never run.
 
 All randomness flows through labelled streams derived from the run seed,
 which keeps two runs of the same (config, seed) bitwise identical.
@@ -244,27 +246,21 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
                        aborted=bool(abort_reason), abort_reason=abort_reason)
 
 
-def train_restoration(model_cfg: ModelConfig, run: RunConfig, role: str,
-                      train_samples: list[Sample] | None = None,
-                      heldout: list[Sample] | None = None) -> TrainResult:
-    """Reconstruction-only training of one net (the teacher, or a plain
-    student baseline when role='student')."""
+def train_teacher(run: RunConfig,
+                  train_samples: list[Sample] | None = None,
+                  heldout: list[Sample] | None = None) -> TrainResult:
+    """Reconstruction-only training of the teacher. A plain student is
+    `distill` at alpha2 = alpha3 = 0, from the distilled student's init."""
     if train_samples is None or heldout is None:
         train_samples, heldout = make_train_heldout(run)
-    net = build_net(model_cfg, derive_seed(run.train.seed, role))
+    net = build_net(run.model, derive_seed(run.train.seed, "teacher"))
 
     def sample_terms(sample):
         x, target = Tensor(normalize(sample.degraded)), Tensor(normalize(sample.clean))
         return reconstruction_loss(net.forward(x), target), 0.0, 0.0
 
-    return _train_loop(net, {}, run, lambda batch: sample_terms, f"plain-{role}",
+    return _train_loop(net, {}, run, lambda batch: sample_terms, "plain-teacher",
                        train_samples, heldout)
-
-
-def train_teacher(run: RunConfig,
-                  train_samples: list[Sample] | None = None,
-                  heldout: list[Sample] | None = None) -> TrainResult:
-    return train_restoration(run.model, run, "teacher", train_samples, heldout)
 
 
 def load_net(ckpt: Checkpoint) -> RestorationNet:

@@ -551,6 +551,16 @@ def test_smoke_script_runs_the_sample_config():
     for prefix in ("teacher   [   10 steps", "distilled [   10 steps", "plain     [   10 steps"):
         assert sum(line.startswith(prefix) for line in lines) == 1, prefix
     run = load_run_config(ROOT / "configs" / "denoise32.json")
+    # the plain line is `distill` at zero weights on the same run: one
+    # 10-step epoch at seed 0 for the teacher and for the student
+    plain_loss = replace(run.train.loss, alpha2=0.0, alpha3=0.0)
+    smoke = replace(run, data=replace(run.data, base_seed=0),
+                    train=replace(run.train, epochs=1, seed=0, loss=plain_loss))
+    samples, held = trainer.make_train_heldout(smoke)
+    teacher = trainer.train_teacher(smoke, samples, held).checkpoint
+    plain = trainer.distill(smoke, teacher, samples, held).eval_history[-1]
+    plain_line = next(line for line in lines if line.startswith("plain "))
+    assert f"psnr {plain['psnr_restored']:.2f} dB" in plain_line
     size = run.data.patch_size
     (tp, tf), (sp, sf) = (count_params_flops(m, size, size)
                           for m in (run.model, run.student_model))

@@ -23,7 +23,6 @@ from skdistill.trainer import (
     evaluate,
     load_net,
     make_train_heldout,
-    train_restoration,
     train_teacher,
 )
 
@@ -225,23 +224,6 @@ class TestDistillation:
         distill(run, teacher.checkpoint, samples, held)
         assert checkpoint_to_bytes(teacher.checkpoint) == before
 
-    def test_zero_weights_match_plain_student_training(self):
-        loss = LossWeights(alpha2=0.0, alpha3=0.0)
-        run = tiny_run(train=TrainConfig(epochs=2, batch_size=4, eval_interval=100,
-                                         seed=7, loss=loss))
-        samples, held = make_train_heldout(run)
-        teacher = train_teacher(run, samples, held)
-        distilled = distill(run, teacher.checkpoint, samples, held)
-        plain = train_restoration(run.student_model, run, "student", samples, held)
-        assert [h["loss"] for h in distilled.history] == [h["loss"] for h in plain.history]
-        d_net = {k: v for k, v in distilled.checkpoint.tensors.items()
-                 if k.startswith("net.")}
-        p_net = {k: v for k, v in plain.checkpoint.tensors.items()
-                 if k.startswith("net.")}
-        assert set(d_net) == set(p_net)
-        for k in d_net:
-            assert d_net[k].tobytes() == p_net[k].tobytes()
-
     def test_projector_width_is_the_loss_unified_dim(self, teacher_ckpt):
         run = tiny_run(train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5,
                                          loss=LossWeights(unified_dim=3)))
@@ -256,6 +238,48 @@ class TestDistillation:
         teacher = train_teacher(run, samples, held)
         with pytest.raises(ConfigError):
             distill(run, teacher.checkpoint, samples, held)
+
+
+class TestPlainStudent:
+    """A plain student is `distill` at alpha2 = alpha3 = 0: reconstruction
+    training of the student alone, from the distilled student's init."""
+
+    @staticmethod
+    def _plain_run(epochs):
+        return tiny_run(train=TrainConfig(epochs=epochs, batch_size=4, eval_interval=100,
+                                          seed=7, loss=LossWeights(alpha2=0.0, alpha3=0.0)))
+
+    def test_teacher_never_runs(self, monkeypatch, teacher_ckpt):
+        load = trainer.load_net
+
+        def frozen_unused(ckpt):
+            net = load(ckpt)
+
+            def refuse(*args):
+                raise AssertionError("the teacher ran at zero distillation weights")
+
+            net.forward = net.forward_with_features = refuse
+            return net
+
+        monkeypatch.setattr(trainer, "load_net", frozen_unused)
+        res = distill(self._plain_run(1), teacher_ckpt)
+        assert not res.aborted and res.history
+
+    def test_history_is_reconstruction_only(self, teacher_ckpt):
+        res = distill(self._plain_run(2), teacher_ckpt)
+        assert len(res.history) == 4
+        for h in res.history:
+            assert h["gk"] == 0.0 and h["cl"] == 0.0
+            assert h["loss"] == h["rec"]
+
+    def test_projectors_never_move(self, teacher_ckpt):
+        # zero gradients give Adam an update of exactly 0
+        def projectors(epochs):
+            tensors = distill(self._plain_run(epochs), teacher_ckpt).checkpoint.tensors
+            return {k: v.tobytes() for k, v in tensors.items() if k.startswith("aux.proj")}
+
+        one, two = projectors(1), projectors(2)
+        assert one and one == two
 
 
 @pytest.fixture(scope="module")
