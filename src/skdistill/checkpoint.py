@@ -115,7 +115,8 @@ class _Reader:
         except ValueError as exc:
             raise CheckpointFormatError(
                 f"bad dims for tensor {name!r} at offset {dims_offset}: {exc}") from exc
-        self._advance(n, self.stream.readinto(memoryview(arr).cast("B")))
+        # a flat view casts at any shape; memoryview refuses to cast a zero extent
+        self._advance(n, self.stream.readinto(memoryview(arr.reshape(-1)).cast("B")))
         return arr
 
     def u8(self) -> int:

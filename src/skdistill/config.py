@@ -16,18 +16,21 @@ from .errors import ConfigError
 from .losses import LossWeights
 from .models import ModelConfig
 
+# the floor of the cosine learning-rate schedule, reached at the last step
+LR_MIN = 1e-6
+
 
 @dataclass
 class TrainConfig:
     """Optimization knobs shared by teacher training and distillation.
 
-    Adam's beta1, beta2 and eps are the constants in `trainer`, and
-    distillation covers every feature tap; neither is configured here."""
+    Adam's beta1, beta2 and eps are the constants in `trainer`, the
+    schedule ends at `LR_MIN`, and distillation covers every feature tap;
+    none of these is configured here."""
 
     epochs: int = 10
     batch_size: int = 8
     lr_max: float = 2e-4
-    lr_min: float = 1e-6
     seed: int = 0
     eval_interval: int = 200
     loss: LossWeights = field(default_factory=LossWeights)
@@ -37,9 +40,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.lr_max >= self.lr_min > 0:
-            raise ConfigError(
-                f"need lr_max >= lr_min > 0, got lr_max={self.lr_max} lr_min={self.lr_min}")
+        if not self.lr_max >= LR_MIN:
+            raise ConfigError(f"lr_max must be >= {LR_MIN}, got {self.lr_max}")
         if self.eval_interval < 1:
             raise ConfigError(f"eval_interval must be >= 1, got {self.eval_interval}")
         if self.seed < 0:

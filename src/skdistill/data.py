@@ -19,6 +19,9 @@ from .metrics import gaussian_1d
 from .seeding import rng_for
 
 TASKS = ("denoise", "deblur", "derain")
+# rain streaks: mean angle from the horizontal in degrees, and mean length in pixels
+RAIN_ANGLE = 70.0
+RAIN_LENGTH = 9.0
 
 
 @dataclass
@@ -33,8 +36,6 @@ class CorpusSpec:
     noise_sigma: float = 0.1
     blur_sigma: float = 1.2
     rain_density: float = 0.02
-    rain_angle: float = 70.0
-    rain_length: float = 9.0
 
     def __post_init__(self):
         if self.count < 1:
@@ -52,8 +53,6 @@ class CorpusSpec:
         for name in ("noise_sigma", "blur_sigma", "rain_density"):
             if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.rain_length > 0:
-            raise ConfigError(f"rain_length must be > 0, got {self.rain_length}")
 
 
 @dataclass
@@ -135,18 +134,17 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     return out
 
 
-def _rain(img: np.ndarray, rng: np.random.Generator, density: float,
-          angle_deg: float, length: float) -> np.ndarray:
+def _rain(img: np.ndarray, rng: np.random.Generator, density: float) -> np.ndarray:
     _, h, w = img.shape
-    n_streaks = int(round(density * h * w / max(length, 1.0)))
+    n_streaks = int(round(density * h * w / RAIN_LENGTH))
     if n_streaks == 0:
         return img.copy()
     out = img.copy()
     layer = np.zeros((h, w))
     for _ in range(n_streaks):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
-        ang = math.radians(angle_deg + rng.normal(scale=3.0))
-        seg = length * rng.uniform(0.6, 1.4)
+        ang = math.radians(RAIN_ANGLE + rng.normal(scale=3.0))
+        seg = RAIN_LENGTH * rng.uniform(0.6, 1.4)
         brightness = rng.uniform(0.2, 0.6)
         steps = max(int(seg * 2), 2)
         for t in np.linspace(-seg / 2, seg / 2, steps):
@@ -173,7 +171,7 @@ def degrade(clean: np.ndarray, task: str, spec: CorpusSpec, seed: int) -> np.nda
         return np.clip(noisy, 0.0, 1.0)
     if task == "deblur":
         return np.clip(_blur(clean, spec.blur_sigma), 0.0, 1.0)
-    rained = _rain(clean, rng, spec.rain_density, spec.rain_angle, spec.rain_length)
+    rained = _rain(clean, rng, spec.rain_density)
     return np.clip(rained, 0.0, 1.0)
 
 

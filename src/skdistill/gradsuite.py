@@ -78,7 +78,8 @@ def _neg_pow_case(r, i):
     base = Tensor(r.uniform(0.5, 2.0, size=6))
     if i % 2 == 0:
         return lambda x: _sq(T.neg(x)), Tensor(r.normal(size=6))
-    return lambda x: T.sum_(T.sqrt(T.mul(T.mul(x, x), 1.0)) + T.pow_(T.abs_(x) + base, 1.7)), \
+    return lambda x: T.sum_(T.add(T.sqrt(T.mul(T.mul(x, x), 1.0)),
+                                  T.pow_(T.add(T.abs_(x), base), 1.7))), \
         Tensor(r.uniform(0.5, 2.0, size=6))
 
 

@@ -143,41 +143,8 @@ class Tensor:
                 if leaf.grad is None:
                     leaf.grad = np.zeros_like(leaf.data)
 
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_(self, p)
 
 
 def as_tensor(x) -> Tensor:

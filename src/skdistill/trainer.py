@@ -23,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .attention import cross_net_features, make_projector
 from .checkpoint import Checkpoint
-from .config import RunConfig, config_hash
+from .config import LR_MIN, RunConfig, config_hash
 from .data import Sample, batch_indices, make_samples, normalize, denormalize
 from .errors import CheckpointFormatError, ConfigError, NonFiniteError, RangeError
 from .losses import (
@@ -221,7 +221,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
             break
         for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
                                        cfg.seed, epoch):
-            lr = cosine_lr(step, total_steps, cfg.lr_max, cfg.lr_min)
+            lr = cosine_lr(step, total_steps, cfg.lr_max, LR_MIN)
             batch = [train_samples[i] for i in batch_ids]
             try:
                 loss_value, components, grads = _batch_step(objective, batch, params,

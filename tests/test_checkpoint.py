@@ -66,6 +66,17 @@ class TestRoundtrip:
             assert back.tensors[name].tobytes() == arr.tobytes()
             assert back.tensors[name].flags.writeable
 
+    @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4), (0, 0)])
+    def test_zero_extent_roundtrips(self, shape, tmp_path):
+        ckpt = Checkpoint(step=2, meta={}, tensors={"empty": np.zeros(shape),
+                                                    "after": np.arange(3.0)})
+        path = tmp_path / "empty.skdc"
+        save_checkpoint(ckpt, path)
+        for got in (load_checkpoint(path), checkpoint_from_bytes(checkpoint_to_bytes(ckpt))):
+            assert got.tensors["empty"].shape == shape
+            assert got.tensors["after"].tobytes() == ckpt.tensors["after"].tobytes()
+            assert checkpoint_to_bytes(got) == checkpoint_to_bytes(ckpt)
+
     def test_file_and_bytes_give_the_same_checkpoint(self, tmp_path):
         blob = net_blob()
         (tmp_path / "n.skdc").write_bytes(blob)

@@ -208,6 +208,22 @@ class TestBoundaryErrors:
                      "--report", str(tmp_path / "r.json")])
         return code, capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 0, 4)])
+    def test_zero_extent_net_tensor(self, dataset, tiny_run, tmp_path, capsys, shape):
+        # the checkpoint loads; the net then refuses the shape
+        run, _ = tiny_run
+        data, _ = dataset
+        net = build_net(run.model, 0)
+        tensors = {f"net.{k}": v for k, v in net.state_arrays().items()}
+        name = next(iter(tensors))
+        tensors[name] = np.zeros(shape)
+        ckpt = tmp_path / "empty.skdc"
+        save_checkpoint(Checkpoint(meta={"model": run.model.to_dict()}, tensors=tensors), ckpt)
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"parameter {name[len('net.'):]} has shape {shape}" in err
+
     def test_negative_seed_is_a_usage_error(self, tiny_run, tmp_path, capsys):
         _, cfg_path = tiny_run
         with pytest.raises(SystemExit) as exc:
@@ -259,9 +275,11 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert key in capsys.readouterr().err
 
-    # Adam's hyper-parameters are fixed and every tap is distilled
+    # Adam's hyper-parameters and the schedule's floor are fixed, and every
+    # tap is distilled
     @pytest.mark.parametrize("key, value", [
         ("beta1", 0.9), ("beta2", 0.999), ("adam_eps", 1e-8), ("distill_blocks", [0]),
+        ("lr_min", 1e-6),
     ])
     def test_removed_train_key_is_a_config_error(self, tiny_run, tmp_path, capsys,
                                                  key, value):
@@ -322,6 +340,28 @@ class TestBoundaryErrors:
         assert code == 1
         assert "bogus" in err and str(data / "manifest.json") in err
         assert not (tmp_path / "r.json").exists()
+
+    # the rain streaks' angle and length are constants of the corpus
+    @pytest.mark.parametrize("key, value", [("rain_angle", 70.0), ("rain_length", 9.0)])
+    def test_removed_rain_key_is_a_config_error(self, tiny_run, dataset, tmp_path, capsys,
+                                                key, value):
+        run, _ = tiny_run
+        data, ckpt = dataset
+        save_working_checkpoint(run, ckpt)
+        blob = run.to_dict()
+        blob["data"][key] = value
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(blob))
+        capsys.readouterr()
+        assert main(["count", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "fields at data" in err and key in err
+        manifest = json.loads((data / "manifest.json").read_text())
+        manifest[key] = value
+        (data / "manifest.json").write_text(json.dumps(manifest))
+        code, err = self.eval_exit(data, ckpt, tmp_path, capsys)
+        assert code == 1
+        assert key in err and str(data / "manifest.json") in err
 
     # manifests written before the manifest became CorpusSpec's dict form
     def test_five_key_manifest_still_evaluates(self, tiny_run, dataset, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skdistill.config import (
+    LR_MIN,
     RunConfig,
     TrainConfig,
     config_hash,
@@ -37,13 +38,13 @@ class TestDefaults:
         t = TrainConfig()
         assert t.batch_size == 8
         assert t.lr_max == 2e-4
-        assert t.lr_min == 1e-6
+        assert LR_MIN == 1e-6
         assert [f.name for f in dataclasses.fields(t)] == \
-            ["epochs", "batch_size", "lr_max", "lr_min", "seed", "eval_interval", "loss"]
+            ["epochs", "batch_size", "lr_max", "seed", "eval_interval", "loss"]
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(lr_max=1e-6, lr_min=2e-4)
+            TrainConfig(lr_max=1e-7)
         with pytest.raises(ConfigError):
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
@@ -142,7 +143,7 @@ class TestTypedReader:
         ({"train": {"loss": {"tau": float("nan")}}}, "train.loss.tau"),
         ({"train": {"loss": {"sigma": float("inf")}}}, "train.loss.sigma"),
         ({"train": {"lr_max": float("inf")}}, "train.lr_max"),
-        ({"train": {"lr_min": float("-inf")}}, "train.lr_min"),
+        ({"data": {"blur_sigma": float("-inf")}}, "data.blur_sigma"),
         ({"data": {"noise_sigma": float("nan")}}, "data.noise_sigma"),
     ])
     def test_non_finite_float_names_the_field(self, blob, path):

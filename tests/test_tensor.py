@@ -149,8 +149,8 @@ class TestGradcheck:
         ("gelu", lambda x: T.sum_(T.gelu(x))),
         ("softmax", lambda x: T.sum_(T.mul(T.softmax_rows(x), T.softmax_rows(x)))),
         ("transpose", lambda x: T.sum_(T.mul(T.transpose(x), T.transpose(x)))),
-        ("upsample", lambda x: T.sum_(T.mul(T.upsample2x_nearest(x.reshape((1, 2, 3))),
-                                            T.upsample2x_nearest(x.reshape((1, 2, 3)))))),
+        ("upsample", lambda x: T.sum_(T.mul(T.upsample2x_nearest(T.reshape(x, (1, 2, 3))),
+                                            T.upsample2x_nearest(T.reshape(x, (1, 2, 3)))))),
     ])
     def test_op_gradients(self, op, make):
         x0 = Tensor(rng(hash(op) % 2**32).normal(size=(2, 3)))
