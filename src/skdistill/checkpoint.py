@@ -56,24 +56,28 @@ def _encode_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<Q", ckpt.step)]
-    rng_blob = _encode_json({})
-    parts.append(struct.pack("<I", len(rng_blob)))
-    parts.append(rng_blob)
-    meta_blob = _encode_json(ckpt.meta)
-    parts.append(struct.pack("<I", len(meta_blob)))
-    parts.append(meta_blob)
-    parts.append(struct.pack("<I", len(ckpt.tensors)))
+def _write_checkpoint(stream: BinaryIO, ckpt: Checkpoint) -> None:
+    """Writes `ckpt` in the layout above. Each payload goes to the stream
+    straight from its array's memory; only an array that is not already
+    C-ordered little-endian float64 is converted first."""
+    stream.write(MAGIC + struct.pack("<IQ", VERSION, ckpt.step))
+    for blob in (_encode_json({}), _encode_json(ckpt.meta)):
+        stream.write(struct.pack("<I", len(blob)))
+        stream.write(blob)
+    stream.write(struct.pack("<I", len(ckpt.tensors)))
     for name, arr in ckpt.tensors.items():
-        arr = np.asarray(arr, dtype=np.float64)  # ascontiguousarray would promote 0-d to 1-d
+        arr = np.asarray(arr, dtype="<f8", order="C")  # ascontiguousarray would promote 0-d to 1-d
         name_bytes = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(name_bytes)))
-        parts.append(name_bytes)
-        parts.append(struct.pack("<BB", DTYPE_FLOAT64, arr.ndim))
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f8").tobytes())
-    return b"".join(parts)
+        stream.write(struct.pack(f"<I{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes),
+                                 name_bytes, DTYPE_FLOAT64, arr.ndim, *arr.shape))
+        # a flat view casts at any shape; memoryview refuses to cast a zero extent
+        stream.write(memoryview(arr.reshape(-1)).cast("B"))
+
+
+def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
+    stream = io.BytesIO()
+    _write_checkpoint(stream, ckpt)
+    return stream.getvalue()
 
 
 class _Reader:
@@ -184,7 +188,18 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    Path(path).write_bytes(checkpoint_to_bytes(ckpt))
+    """Writes a sibling temp file, then renames it over `path`: a save that
+    raises part-way leaves any old file as it was. The file is made by
+    `open`, so its permissions follow the umask."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            _write_checkpoint(f, ckpt)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

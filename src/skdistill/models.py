@@ -179,9 +179,11 @@ class RestorationNet:
 
     @classmethod
     def from_state(cls, cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> "RestorationNet":
-        """Frozen net for `cfg` holding float64 copies of `arrays`, in layout
-        order; draws no random numbers. Names and shapes must match the
-        layout exactly and values must be finite."""
+        """Frozen net for `cfg` over `arrays`, in layout order; draws no random
+        numbers. Names and shapes must match the layout exactly and values
+        must be finite. A float64 array is shared, not copied: its parameter
+        is a read-only view of it, so the net never writes into `arrays`.
+        Other dtypes are converted."""
         shapes = {spec.name: spec.shape for spec in param_layout(cfg)}
         missing = set(shapes) - set(arrays)
         extra = set(arrays) - set(shapes)
@@ -189,12 +191,13 @@ class RestorationNet:
             raise ConfigError(f"state mismatch: missing={sorted(missing)} extra={sorted(extra)}")
         state = {}
         for name, shape in shapes.items():
-            arr = np.asarray(arrays[name], dtype=np.float64)
+            arr = np.asarray(arrays[name], dtype=np.float64).view()
             if arr.shape != shape:
                 raise ConfigError(f"parameter {name} has shape {arr.shape}, expected {shape}")
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"parameter {name} holds NaN or Inf")
-            state[name] = arr.copy()
+            arr.flags.writeable = False
+            state[name] = arr
         return cls(cfg, state, requires_grad=False)
 
     # -- parameter access ---------------------------------------------------

@@ -116,7 +116,11 @@ class TestBuildNet:
         assert param_digest(loaded) == param_digest(net)
         for name, p in loaded.params().items():
             assert not p.requires_grad
-            assert not np.shares_memory(p.data, arrays[name])
+            # shared, not copied, and read-only: the net cannot write into the state
+            assert p.data.tobytes() == arrays[name].tobytes()
+            assert np.shares_memory(p.data, arrays[name]) and not p.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p.data += 1.0
 
     def test_from_state_mismatch(self):
         net = build_net(small_cfg(), 0)

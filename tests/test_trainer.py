@@ -469,8 +469,12 @@ class TestLoadNet:
         assert list(loaded.params()) == list(net.params())
         for name, p in loaded.params().items():
             stored = ckpt.tensors[f"net.{name}"]
-            assert p.data.tobytes() == stored.tobytes() and p.shape == stored.shape
-            assert not np.shares_memory(p.data, stored)
+            assert p.shape == stored.shape
+            # shared, not copied, and read-only: the net cannot write into the state
+            assert p.data.tobytes() == stored.tobytes()
+            assert np.shares_memory(p.data, stored) and not p.data.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                p.data += 1.0
             assert not p.requires_grad
 
     def test_non_finite_parameter_is_refused(self):
