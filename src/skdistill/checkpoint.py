@@ -192,7 +192,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     raises part-way leaves any old file as it was. The file is made by
     `open`, so its permissions follow the umask."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"  # with_name refuses an empty name
     try:
         with open(tmp, "wb") as f:
             _write_checkpoint(f, ckpt)

@@ -1,8 +1,10 @@
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skdistill.checkpoint import (
@@ -104,6 +106,55 @@ def assert_both_raise(tmp_path, blob, error, match):
     assert str(from_file.value) == str(from_bytes.value)
 
 
+class TestSave:
+    def test_payloads_are_written_without_a_copy(self, tmp_path):
+        g = np.random.default_rng(1)
+        ckpt = Checkpoint(step=7, meta={"kind": "big"},
+                          tensors={f"net.w{i}": g.normal(size=(256, 1024)) for i in range(5)})
+        assert sum(arr.nbytes for arr in ckpt.tensors.values()) >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            save_checkpoint(ckpt, tmp_path / "big.skdc")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert (tmp_path / "big.skdc").read_bytes() == checkpoint_to_bytes(ckpt)
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "x.skdc"
+        save_checkpoint(sample_checkpoint(), path)
+        before = path.read_bytes()
+        # the first tensor is written before the lone surrogate fails to encode
+        bad = Checkpoint(step=1, tensors={"ok": np.arange(1000.0), "\ud800": np.zeros(2)})
+        with pytest.raises(UnicodeEncodeError):
+            save_checkpoint(bad, path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["x.skdc"]
+
+    @pytest.mark.parametrize("target", ["", "sub/"])
+    def test_unwritable_path_is_an_os_error(self, target, tmp_path, monkeypatch):
+        # the CLI turns an OSError into exit 1; any other error would escape
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        with pytest.raises(OSError):
+            save_checkpoint(sample_checkpoint(), target)
+        assert os.listdir(tmp_path) == ["sub"] and os.listdir(tmp_path / "sub") == []
+
+    def test_save_replaces_the_file_with_umask_permissions(self, tmp_path):
+        path = tmp_path / "x.skdc"
+        path.write_bytes(b"old")
+        path.chmod(0o600)
+        old_umask = os.umask(0o022)
+        try:
+            save_checkpoint(sample_checkpoint(), path)
+        finally:
+            os.umask(old_umask)
+        assert path.read_bytes() == checkpoint_to_bytes(sample_checkpoint())
+        assert path.stat().st_mode & 0o777 == 0o644
+        assert os.listdir(tmp_path) == ["x.skdc"]
+
+
 class TestErrors:
     def test_bad_magic(self, tmp_path):
         blob = bytearray(checkpoint_to_bytes(sample_checkpoint()))
@@ -165,6 +216,22 @@ class TestStructuralErrors:
         ckpt = Checkpoint(step=0, tensors={"x": np.array([1.0, 2.0])})
         assert raw_blob(tensors=[(b"x", (2,), np.array([1.0, 2.0]).tobytes())]) == \
             checkpoint_to_bytes(ckpt)
+
+    def test_writer_converts_to_c_ordered_little_endian_float64(self, tmp_path):
+        g = np.random.default_rng(4)
+        values = g.normal(size=(3, 4))
+        tensors = {"scalar": np.array(2.5), "fortran": np.asfortranarray(values),
+                   "f32": values[:2].astype(np.float32), "big": values[2].astype(">f8")}
+        expected = raw_blob(tensors=[
+            (b"scalar", (), struct.pack("<d", 2.5)),
+            (b"fortran", (3, 4), struct.pack("<12d", *values.ravel().tolist())),
+            (b"f32", (2, 4), struct.pack("<8d", *values[:2].astype(np.float32).ravel().tolist())),
+            (b"big", (4,), struct.pack("<4d", *values[2].tolist())),
+        ])
+        ckpt = Checkpoint(step=0, tensors=tensors)
+        assert checkpoint_to_bytes(ckpt) == expected
+        save_checkpoint(ckpt, tmp_path / "x.skdc")
+        assert (tmp_path / "x.skdc").read_bytes() == expected
 
     def test_duplicate_tensor_name(self, tmp_path):
         x = (b"x", (1,), struct.pack("<d", 1.0))
@@ -253,6 +320,7 @@ class TestDecoderFuzz:
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, len(NET_BLOB) - 1), st.integers(1, 255))
+    @example(at=137, mask=1)  # a dims byte flipped to 0: a zero-extent tensor of rank 4
     def test_single_byte_flips(self, at, mask):
         blob = bytearray(NET_BLOB)
         blob[at] ^= mask

@@ -568,11 +568,11 @@ def test_main_fails_only_with_exit_codes(argv_pool, data):
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_child(*args):
-    """Run python with `args` from the repository root. src goes first on
-    PYTHONPATH so the child imports this checkout's package, whatever
-    directory pytest was started from."""
-    env = dict(os.environ)
+def run_child(*args, **env_vars):
+    """Run python with `args` from the repository root, with `env_vars` set.
+    src goes first on PYTHONPATH so the child imports this checkout's
+    package, whatever directory pytest was started from."""
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           cwd=ROOT, env=env)
@@ -607,3 +607,38 @@ def test_smoke_script_runs_the_sample_config():
     p_red, f_red = reduction_percentages(run.model, run.student_model, size, size)
     assert lines[-1] == (f"teacher {tp:,} params / {tf:,} flops; student {sp:,} / {sf:,} "
                          f"(-{p_red:.1f}% / -{f_red:.1f}%)")
+
+
+# Two steps each of teacher training and distillation of the
+# configs/denoise32.json nets at 32 px, saved to the directory in argv[1];
+# prints the process's thread count where /proc shows it
+TRAIN_TWO_STEPS = """
+import dataclasses, os, sys
+from skdistill.checkpoint import save_checkpoint
+from skdistill.config import load_run_config
+from skdistill.trainer import distill, make_train_heldout, train_teacher
+run = load_run_config("configs/denoise32.json")
+run = dataclasses.replace(run, data=dataclasses.replace(run.data, count=8),
+                          train=dataclasses.replace(run.train, epochs=1))
+samples, held = make_train_heldout(run)
+teacher = train_teacher(run, samples, held).checkpoint
+save_checkpoint(teacher, os.path.join(sys.argv[1], "teacher.skdc"))
+student = distill(run, teacher, samples, held).checkpoint
+save_checkpoint(student, os.path.join(sys.argv[1], "student.skdc"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else "")
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS runs one thread on one core")
+def test_bits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    files, thread_counts = [], []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        proc = run_child("-c", TRAIN_TWO_STEPS, str(out), OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        thread_counts.append(proc.stdout.strip())
+        files.append([(out / name).read_bytes() for name in ("teacher.skdc", "student.skdc")])
+    # the setting reached the BLAS: the two-thread child runs more threads
+    assert thread_counts[0] != thread_counts[1] or thread_counts == ["", ""]
+    assert files[0] == files[1]

@@ -121,6 +121,16 @@ class TestBuildNet:
             assert np.shares_memory(p.data, arrays[name]) and not p.data.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 p.data += 1.0
+            assert arrays[name].flags.writeable
+
+    def test_from_state_converts_other_dtypes(self):
+        net = build_net(small_cfg(), 2)
+        arrays = {k: v.astype(np.float32) for k, v in net.state_arrays().items()}
+        loaded = RestorationNet.from_state(net.cfg, arrays)
+        for name, p in loaded.params().items():
+            assert p.data.dtype == np.float64 and not p.data.flags.writeable
+            assert p.data.tobytes() == arrays[name].astype(np.float64).tobytes()
+            assert not np.shares_memory(p.data, arrays[name])
 
     def test_from_state_mismatch(self):
         net = build_net(small_cfg(), 0)

@@ -102,6 +102,16 @@ class TestConv2d:
                        Tensor(np.zeros(4)), stride=2)
         assert out.shape == (4, 4, 4)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.tuples(st.integers(0, 5), st.integers(0, 9),
+                                                 st.integers(0, 9)))
+    def test_zero_border_equals_np_pad(self, seed, shape):
+        x = rng(seed).normal(size=shape)
+        padded = T._pad1(x)
+        expected = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+        assert padded.dtype == expected.dtype and padded.shape == expected.shape
+        assert padded.tobytes() == expected.tobytes()
+
 
 class TestGradcheck:
     def test_quadratic(self):
