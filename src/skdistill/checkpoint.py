@@ -83,12 +83,19 @@ def checkpoint_to_bytes(ckpt: Checkpoint) -> bytes:
 class _Reader:
     """Cursor over a binary stream of `size` bytes. Every read is checked
     against the bytes left before it is made, so a header that claims more
-    than the stream holds raises before anything is allocated."""
+    than the stream holds raises before anything is allocated.
+
+    Payloads go into one buffer, allocated at the first tensor and sized by
+    the bytes left: one allocation per checkpoint, not one per tensor. glibc
+    keeps such a block's memory for the next load, where it handed per-tensor
+    arrays back to the system and every load faulted the payload in afresh."""
 
     def __init__(self, stream: BinaryIO, size: int):
         self.stream = stream
         self.size = size
         self.offset = 0
+        self._payloads: np.ndarray | None = None
+        self._used = 0  # floats of `_payloads` handed out
 
     def _truncated(self, n: int) -> CheckpointTruncatedError:
         return CheckpointTruncatedError(
@@ -108,19 +115,24 @@ class _Reader:
         return chunk
 
     def float64s(self, dims: tuple[int, ...], dims_offset: int, name: str) -> np.ndarray:
-        """A fresh float64 array of shape `dims`, read straight into its memory."""
-        n = 8 * math.prod(dims)
-        if n > self.size - self.offset:
-            raise self._truncated(n)
+        """A float64 array of shape `dims`, the next slice of the payload
+        buffer, read straight into its memory."""
+        count = math.prod(dims)
+        if 8 * count > self.size - self.offset:
+            raise self._truncated(8 * count)
+        if self._payloads is None:
+            self._payloads = np.empty((self.size - self.offset) // 8, dtype="<f8")
+        flat = self._payloads[self._used:self._used + count]
         try:
             # numpy refuses a rank above its limit, and extents whose non-zero
             # product overflows, even when the payload is empty
-            arr = np.empty(dims, dtype="<f8")
+            arr = flat.reshape(dims)
         except ValueError as exc:
             raise CheckpointFormatError(
                 f"bad dims for tensor {name!r} at offset {dims_offset}: {exc}") from exc
-        # a flat view casts at any shape; memoryview refuses to cast a zero extent
-        self._advance(n, self.stream.readinto(memoryview(arr.reshape(-1)).cast("B")))
+        # the flat slice casts at any shape; memoryview refuses to cast a zero extent
+        self._advance(8 * count, self.stream.readinto(memoryview(flat).cast("B")))
+        self._used += count
         return arr
 
     def u8(self) -> int:
@@ -203,6 +215,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Reads the file in place: each payload goes straight into its array."""
+    """Reads the file in place: each payload goes straight into its slice of
+    the checkpoint's one payload buffer, which its tensors keep alive."""
     with open(path, "rb") as f:
         return _read_checkpoint(f, os.fstat(f.fileno()).st_size)

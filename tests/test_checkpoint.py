@@ -68,6 +68,13 @@ class TestRoundtrip:
             assert back.tensors[name].tobytes() == arr.tobytes()
             assert back.tensors[name].flags.writeable
 
+    def test_payloads_are_slices_of_one_buffer(self):
+        back = checkpoint_from_bytes(checkpoint_to_bytes(sample_checkpoint()))
+        arrays = list(back.tensors.values())
+        base = arrays[0].base
+        assert base is not None and all(arr.base is base for arr in arrays)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
     @pytest.mark.parametrize("shape", [(0,), (3, 0), (2, 0, 4), (0, 0)])
     def test_zero_extent_roundtrips(self, shape, tmp_path):
         ckpt = Checkpoint(step=2, meta={}, tensors={"empty": np.zeros(shape),
