@@ -88,7 +88,11 @@ class _Reader:
     Payloads go into one buffer, allocated at the first tensor and sized by
     the bytes left: one allocation per checkpoint, not one per tensor. glibc
     keeps such a block's memory for the next load, where it handed per-tensor
-    arrays back to the system and every load faulted the payload in afresh."""
+    arrays back to the system and every load faulted the payload in afresh.
+    The buffer is a bytearray, not `np.empty`: numpy marks arrays of 4 MiB
+    or more for transparent huge pages, the heap keeps that mark after the
+    checkpoint is freed, and the forward's temporaries placed there later
+    ran slower (GELU by about a quarter on the paper-shaped student)."""
 
     def __init__(self, stream: BinaryIO, size: int):
         self.stream = stream
@@ -121,7 +125,7 @@ class _Reader:
         if 8 * count > self.size - self.offset:
             raise self._truncated(8 * count)
         if self._payloads is None:
-            self._payloads = np.empty((self.size - self.offset) // 8, dtype="<f8")
+            self._payloads = np.frombuffer(bytearray((self.size - self.offset) // 8 * 8), "<f8")
         flat = self._payloads[self._used:self._used + count]
         try:
             # numpy refuses a rank above its limit, and extents whose non-zero

@@ -85,6 +85,9 @@ class TestRoundtrip:
             assert got.tensors["empty"].shape == shape
             assert got.tensors["after"].tobytes() == ckpt.tensors["after"].tobytes()
             assert checkpoint_to_bytes(got) == checkpoint_to_bytes(ckpt)
+        # an empty last payload leaves nothing for the payload buffer
+        alone = checkpoint_to_bytes(Checkpoint(tensors={"empty": np.zeros(shape)}))
+        assert checkpoint_to_bytes(checkpoint_from_bytes(alone)) == alone
 
     def test_file_and_bytes_give_the_same_checkpoint(self, tmp_path):
         blob = net_blob()
