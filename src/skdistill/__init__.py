@@ -2,7 +2,6 @@
 
 from .attention import (
     FeatureMap,
-    Projector,
     channel_cross_attention,
     cross_net_features,
     make_projector,
@@ -11,8 +10,7 @@ from .attention import (
 )
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunConfig, TrainConfig, config_hash, load_run_config, save_run_config
-from .data import CorpusSpec, Sample, degrade, denormalize, make_clean_corpus, make_samples, \
-    normalize
+from .data import CorpusSpec, Sample, degrade, denormalize, make_samples, normalize
 from .errors import (
     CheckpointError,
     CheckpointFormatError,

@@ -52,41 +52,27 @@ class FeatureMap:
         return T.reshape(self.values, (self.channels, self.pixels))
 
 
-@dataclass
-class Projector:
-    """Per-block 1x1 channel map aligning a feature into the shared width."""
-
-    weight: Tensor  # (d_u, c_src)
-    bias: Tensor    # (d_u,)
-
-    @property
-    def out_channels(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_channels(self) -> int:
-        return self.weight.shape[1]
-
-
-def make_projector(c_src: int, d_u: int, rng: np.random.Generator) -> Projector:
+def make_projector(c_src: int, d_u: int, rng: np.random.Generator) -> tuple[Tensor, Tensor]:
+    """One tap's 1x1 map into the shared width: a (d_u, c_src) weight, a (d_u,) bias."""
     scale = 1.0 / math.sqrt(c_src)
     weight = Tensor(rng.normal(scale=scale, size=(d_u, c_src)), requires_grad=True)
     bias = Tensor(np.zeros(d_u), requires_grad=True)
-    return Projector(weight, bias)
+    return weight, bias
 
 
-def project(p: Projector, f: FeatureMap) -> FeatureMap:
-    """Linear per-pixel channel map plus bias.
+def project(p: tuple[Tensor, Tensor], f: FeatureMap) -> FeatureMap:
+    """Linear per-pixel channel map plus bias; `p` is a (weight, bias) pair.
 
     Frozen-teacher handling lives in the caller: teacher features are
     detached before being passed here, so only the projector itself (and,
     on the student path, the upstream network) receives gradients.
     """
-    if p.in_channels != f.channels:
+    weight, bias = p
+    if weight.shape[1] != f.channels:
         raise ShapeError(
-            f"projector expects {p.in_channels} channels, feature has {f.channels}")
-    m = T.linear(p.weight, f.matrix(), p.bias)
-    return FeatureMap(T.reshape(m, (p.out_channels, f.height, f.width)))
+            f"projector expects {weight.shape[1]} channels, feature has {f.channels}")
+    m = T.linear(weight, f.matrix(), bias)
+    return FeatureMap(T.reshape(m, (weight.shape[0], f.height, f.width)))
 
 
 def _check_pair(t: FeatureMap, s: FeatureMap) -> None:
@@ -110,45 +96,27 @@ def channel_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
-def _spatial_scale(t: FeatureMap, s: FeatureMap) -> float:
-    """Logit scale 1/lambda, lambda = sqrt(C), of a validated pair."""
-    _check_pair(t, s)
-    return 1.0 / math.sqrt(t.channels)
-
-
-def spatial_attention_matrix(t: FeatureMap, s: FeatureMap) -> Tensor:
-    """(N, N) attention over pixel positions, normalized over each column.
-
-    Column normalization makes each output column of S @ B a convex
-    combination of student pixel columns, mirroring the channel case.
-    This is the composite reference for tests, and it holds N x N arrays;
-    `spatial_cross_attention` runs the same math as one blocked op that
-    never holds one (`tensor.spatial_attend`).
-    """
-    # scale the (C, N) operand rather than the (N, N) logits: same math,
-    # one full pass over the big matrix saved in each direction
-    scaled = T.mul(t.matrix(), _spatial_scale(t, s))
-    logits = T.matmul(T.transpose(scaled), s.matrix())
-    return T.softmax_cols(logits)
-
-
 def spatial_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
-    """S @ spatial_attention_matrix(t, s), fused into one engine op."""
-    out = T.spatial_attend(t.matrix(), s.matrix(), _spatial_scale(t, s))
+    """S @ B, B the (N, N) attention over pixel positions with temperature
+    lambda = sqrt(C), normalized over each column so that each output column
+    is a convex combination of student pixel columns. One blocked engine op,
+    `tensor.spatial_attend`, runs it without holding B."""
+    _check_pair(t, s)
+    out = T.spatial_attend(t.matrix(), s.matrix(), 1.0 / math.sqrt(t.channels))
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
 def cross_net_features(t_raw: FeatureMap, s_raw: FeatureMap,
-                       p_t: Projector, p_s: Projector
+                       p_t: tuple[Tensor, Tensor], p_s: tuple[Tensor, Tensor]
                        ) -> tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]:
     """Project a raw teacher/student pair and run both interactions.
 
     Returns (s_f, s_fc, s_ft, t_f). The raw teacher map is detached first,
     so the teacher network stays frozen while its projector still trains.
     """
-    if p_t.out_channels != p_s.out_channels:
-        raise ConfigError(
-            f"projector widths differ: teacher {p_t.out_channels}, student {p_s.out_channels}")
+    width_t, width_s = p_t[0].shape[0], p_s[0].shape[0]
+    if width_t != width_s:
+        raise ConfigError(f"projector widths differ: teacher {width_t}, student {width_s}")
     t_f = project(p_t, FeatureMap(t_raw.values.detach()))
     s_f = project(p_s, s_raw)
     s_fc = channel_cross_attention(t_f, s_f)

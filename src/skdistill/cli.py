@@ -23,7 +23,7 @@ from .data import CorpusSpec, Sample, make_samples, read_image, write_image
 from .errors import ConfigError, SkdError
 from .gradsuite import DEFAULT_TOL, run_gradcheck_suite, total_trials
 from .models import count_params_flops, reduction_percentages
-from .trainer import distill, evaluate, train_teacher
+from .trainer import distill, evaluate, make_train_heldout, train_teacher
 
 EXIT_ABORTED = 3
 # a manifest is CorpusSpec's dict form; these keys must be written out, the
@@ -87,33 +87,22 @@ def _load_dataset(path: str) -> list[Sample]:
             for i in range(spec.count)]
 
 
-def cmd_train_teacher(args) -> int:
+def cmd_train(args) -> int:
+    """train-teacher, or distill against --teacher."""
     run = _apply_seed(load_run_config(args.config), args.seed)
-    result = train_teacher(run)
+    teacher = load_checkpoint(args.teacher) if args.command == "distill" else None
+    samples, heldout = make_train_heldout(run)
+    result = (train_teacher(run, samples, heldout) if teacher is None
+              else distill(run, teacher, samples, heldout))
     save_checkpoint(result.checkpoint, args.out)
+    nan = float("nan")
     last = result.history[-1] if result.history else {}
     evals = result.eval_history[-1] if result.eval_history else {}
+    terms = ", ".join(f"{k} {last.get(k, nan):.5f}" for k in ("rec", "gk", "cl"))
     status = f"aborted ({result.abort_reason})" if result.aborted else "done"
-    print(f"{status}: {result.checkpoint.step} steps, "
-          f"loss {last.get('loss', float('nan')):.5f}, "
-          f"heldout psnr {evals.get('psnr_restored', float('nan')):.2f} dB "
-          f"(degraded {evals.get('psnr_degraded', float('nan')):.2f} dB)")
-    print(f"checkpoint -> {args.out}")
-    return EXIT_ABORTED if result.aborted else 0
-
-
-def cmd_distill(args) -> int:
-    run = _apply_seed(load_run_config(args.config), args.seed)
-    teacher = load_checkpoint(args.teacher)
-    result = distill(run, teacher)
-    save_checkpoint(result.checkpoint, args.out)
-    last = result.history[-1] if result.history else {}
-    status = f"aborted ({result.abort_reason})" if result.aborted else "done"
-    print(f"{status}: {result.checkpoint.step} steps, "
-          f"loss {last.get('loss', float('nan')):.5f} "
-          f"(rec {last.get('rec', float('nan')):.5f}, "
-          f"gk {last.get('gk', float('nan')):.5f}, "
-          f"cl {last.get('cl', float('nan')):.5f})")
+    print(f"{status}: {result.checkpoint.step} steps, loss {last.get('loss', nan):.5f} "
+          f"({terms}), heldout psnr {evals.get('psnr_restored', nan):.2f} dB "
+          f"(degraded {evals.get('psnr_degraded', nan):.2f} dB)")
     print(f"checkpoint -> {args.out}")
     return EXIT_ABORTED if result.aborted else 0
 
@@ -196,14 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed)
-    p.set_defaults(func=cmd_train_teacher)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("distill", help="distill the compact student")
     p.add_argument("--config", required=True)
     p.add_argument("--teacher", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_seed)
-    p.set_defaults(func=cmd_distill)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="metrics report for a checkpoint")
     p.add_argument("--ckpt", required=True)

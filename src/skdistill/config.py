@@ -57,6 +57,14 @@ class RunConfig(DictConfig):
     data: CorpusSpec = field(default_factory=CorpusSpec)
     student_model: ModelConfig | None = None
 
+    def __post_init__(self):
+        # the nets read the corpus's images, so they must agree on channels
+        for name in ("model", "student_model"):
+            cfg = getattr(self, name)
+            if cfg is not None and cfg.input_channels != self.data.channels:
+                raise ConfigError(f"data.channels {self.data.channels} differs from "
+                                  f"{name}.input_channels {cfg.input_channels}")
+
 
 def config_hash(run: RunConfig) -> str:
     """sha256 of the canonical JSON form; identifies a run up to its seed."""

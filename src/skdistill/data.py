@@ -110,15 +110,6 @@ def make_clean_image(spec: CorpusSpec, index: int) -> np.ndarray:
     return np.clip(np.stack(channels), 0.0, 1.0)
 
 
-def make_clean_corpus(spec: CorpusSpec, *, first_index: int = 0,
-                      count: int | None = None) -> list[np.ndarray]:
-    """Clean images for indices [first_index, first_index + count)."""
-    n = spec.count if count is None else count
-    if n < 1:
-        raise ConfigError(f"corpus count must be >= 1, got {n}")
-    return [make_clean_image(spec, i) for i in range(first_index, first_index + n)]
-
-
 def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     """Separable Gaussian blur with edge padding, taps out to 3 sigma; the
     identity for sigma <= 0."""
@@ -177,11 +168,14 @@ def degrade(clean: np.ndarray, task: str, spec: CorpusSpec, seed: int) -> np.nda
 
 def make_samples(spec: CorpusSpec, *, first_index: int = 0,
                  count: int | None = None) -> list[Sample]:
-    """Paired clean/degraded samples for the configured task."""
-    cleans = make_clean_corpus(spec, first_index=first_index, count=count)
+    """Paired clean/degraded samples for the configured task, for indices
+    [first_index, first_index + count); `count` defaults to the spec's."""
+    n = spec.count if count is None else count
+    if n < 1:
+        raise ConfigError(f"corpus count must be >= 1, got {n}")
     samples = []
-    for offset, clean in enumerate(cleans):
-        idx = first_index + offset
+    for idx in range(first_index, first_index + n):
+        clean = make_clean_image(spec, idx)
         seed = int(rng_for(spec.base_seed, "sample", idx).integers(0, 2**63 - 1))
         samples.append(Sample(clean=clean,
                               degraded=degrade(clean, spec.task, spec, seed),

@@ -21,7 +21,6 @@ import numpy as np
 from . import tensor as T
 from .attention import (
     FeatureMap,
-    Projector,
     channel_cross_attention,
     cross_net_features,
     make_projector,
@@ -181,7 +180,7 @@ def _projector_case(r, i):
     p_s = make_projector(2, 2, r)
 
     def fn(x):
-        p_t = Projector(x, Tensor(np.zeros(2)))
+        p_t = (x, Tensor(np.zeros(2)))
         s_f, s_fc, s_ft, t_f = cross_net_features(t_raw, s_raw, p_t, p_s)
         return T.add(_sq(T.sub(s_fc.values, t_f.values)), _sq(T.sub(s_ft.values, t_f.values)))
     return fn, Tensor(r.normal(size=(2, 3)))

@@ -48,12 +48,6 @@ def gaussian_1d(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarra
     return one_d / one_d.sum()
 
 
-def gaussian_window(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarray:
-    """Normalized 2-D Gaussian weights: the outer product of the 1-D ones."""
-    one_d = gaussian_1d(size, sigma)
-    return np.outer(one_d, one_d)
-
-
 def _gaussian_filter_valid(x: np.ndarray) -> np.ndarray:
     """Valid-mode Gaussian window means of each (H, W) plane of x.
 

@@ -205,9 +205,6 @@ class RestorationNet:
     def params(self) -> dict[str, Tensor]:
         return self._params
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self._params.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data for name, p in self._params.items()}
 

@@ -42,10 +42,6 @@ class MacCounter:
     def __init__(self) -> None:
         self.macs = 0
 
-    @property
-    def flops(self) -> int:
-        return 2 * self.macs
-
 
 _mac_counters: list[MacCounter] = []
 
@@ -261,7 +257,11 @@ def abs_(a) -> Tensor:
 def gelu(a) -> Tensor:
     """Exact (erf-based) GELU; smooth, so finite differences stay clean."""
     a = as_tensor(a)
-    cdf = 0.5 * (1.0 + erf(a.data * _SQRT1_2))
+    # 0.5 * (1 + erf(x / sqrt 2)), built in one buffer
+    cdf = a.data * _SQRT1_2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
 
     def backward(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI

@@ -98,15 +98,11 @@ class TrainResult:
     abort_reason: str = ""
 
 
-def _heldout_count(n: int) -> int:
-    return max(4, n // 5)
-
-
 def make_train_heldout(run: RunConfig) -> tuple[list[Sample], list[Sample]]:
-    """Training samples plus a fresh held-out block after them."""
+    """Training samples plus a fresh held-out block after them, a fifth as
+    large (at least 4 samples)."""
     train = make_samples(run.data)
-    held = make_samples(run.data, first_index=run.data.count,
-                        count=_heldout_count(run.data.count))
+    held = make_samples(run.data, first_index=run.data.count, count=max(4, run.data.count // 5))
     return train, held
 
 
@@ -246,13 +242,10 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
                        aborted=bool(abort_reason), abort_reason=abort_reason)
 
 
-def train_teacher(run: RunConfig,
-                  train_samples: list[Sample] | None = None,
-                  heldout: list[Sample] | None = None) -> TrainResult:
+def train_teacher(run: RunConfig, train_samples: list[Sample],
+                  heldout: list[Sample]) -> TrainResult:
     """Reconstruction-only training of the teacher. A plain student is
     `distill` at alpha2 = alpha3 = 0, from the distilled student's init."""
-    if train_samples is None or heldout is None:
-        train_samples, heldout = make_train_heldout(run)
     net = build_net(run.model, derive_seed(run.train.seed, "teacher"))
 
     def sample_terms(sample):
@@ -273,32 +266,30 @@ def load_net(ckpt: Checkpoint) -> RestorationNet:
     return RestorationNet.from_state(ModelConfig.from_dict(model), state)
 
 
-def distill(run: RunConfig, teacher_ckpt: Checkpoint,
-            train_samples: list[Sample] | None = None,
-            heldout: list[Sample] | None = None) -> TrainResult:
+def distill(run: RunConfig, teacher_ckpt: Checkpoint, train_samples: list[Sample],
+            heldout: list[Sample]) -> TrainResult:
     """Distill the student against a frozen teacher checkpoint."""
-    if run.student_model is None:
+    student_cfg = run.student_model
+    if student_cfg is None:
         raise ConfigError("distillation needs a student_model section")
     teacher = load_net(teacher_ckpt)
-    # validates level counts and per-knob compression
-    compress_config(teacher.cfg, run.student_model.level_layers,
-                    run.student_model.base_channels)
-    if train_samples is None or heldout is None:
-        train_samples, heldout = make_train_heldout(run)
+    # validates level counts and per-knob compression, then input channels
+    if compress_config(teacher.cfg, student_cfg.level_layers,
+                       student_cfg.base_channels) != student_cfg:
+        raise ConfigError(f"student input_channels {student_cfg.input_channels} differ from the "
+                          f"teacher's {teacher.cfg.input_channels}")
     w = run.train.loss
-    student = build_net(run.student_model, derive_seed(run.train.seed, "student"))
+    student = build_net(student_cfg, derive_seed(run.train.seed, "student"))
     d_u = w.unified_dim
     proj_rng = rng_for(run.train.seed, "projectors")
     # one (teacher, student) pair per tap, p_t drawn before p_s
     pairs = [(make_projector(c_t, d_u, proj_rng), make_projector(c_s, d_u, proj_rng))
-             for c_t, c_s in zip(teacher.cfg.tap_channels(),
-                                 run.student_model.tap_channels())]
+             for c_t, c_s in zip(teacher.cfg.tap_channels(), student_cfg.tap_channels())]
     extra_params = {f"proj{i}.{side}.{k}": tensor
                     for i, pair in enumerate(pairs)
                     for side, p in zip("ts", pair)
-                    for k, tensor in (("w", p.weight), ("b", p.bias))}
-    phi = PhiExtractor(run.student_model.input_channels,
-                       derive_seed(run.train.seed, "phi"))
+                    for k, tensor in zip("wb", p)}
+    phi = PhiExtractor(student_cfg.input_channels, derive_seed(run.train.seed, "phi"))
     use_gk = w.alpha2 > 0.0
     use_cl = w.alpha3 > 0.0
 

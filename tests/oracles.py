@@ -2,8 +2,12 @@
 
 The brute-force oracles are written with plain Python floats and math.* so
 they stay independent of the tensor engine they are used to check.
-`window_ssim` is SSIM with the 2-D Gaussian window summed tap by tap, the
-reference for the separable filter of `metrics.ssim`.
+`gaussian_window` is the 2-D SSIM window, and `window_ssim` is SSIM with
+that window summed tap by tap, the reference for the separable filter of
+`metrics.ssim`.
+`spatial_attention_matrix` is the spatial attention built from engine ops,
+holding its N x N arrays: the composite reference for the blocked
+`attention.spatial_cross_attention`.
 `extended_spatial_attend` is the spatial attention in numpy's extended
 precision (`np.longdouble`), an accuracy reference for the float64 op.
 `one_graph_step` is the trainer's earlier batch objective, kept as the
@@ -16,7 +20,7 @@ import numpy as np
 
 from skdistill import tensor as T
 from skdistill.losses import total_loss
-from skdistill.metrics import gaussian_window
+from skdistill.metrics import gaussian_1d
 
 
 def softmax_row(row):
@@ -50,6 +54,16 @@ def brute_force_spatial(t, s, lam):
     return out, b
 
 
+def spatial_attention_matrix(t, s):
+    """(N, N) attention of FeatureMaps t, s over pixel positions, normalized
+    over each column: softmax_cols(t^T s / lambda), lambda = sqrt(C)."""
+    # scale the (C, N) operand rather than the (N, N) logits: same math,
+    # one full pass over the big matrix saved in each direction
+    scaled = T.mul(t.matrix(), 1.0 / math.sqrt(t.channels))
+    logits = T.matmul(T.transpose(scaled), s.matrix())
+    return T.softmax_cols(logits)
+
+
 def extended_spatial_attend(t, s, scale):
     """s @ softmax_cols(scale * t^T s) for (C, N) arrays, in np.longdouble."""
     t, s = np.asarray(t, np.longdouble), np.asarray(s, np.longdouble)
@@ -76,6 +90,13 @@ def brute_force_ssim_window(a, b, weights, c1, c2):
     cov = sum(w * x * y for w, x, y in zip(weights, a, b)) - mu_a * mu_b
     return ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / \
         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
+
+
+def gaussian_window():
+    """Normalized 11x11 Gaussian weights (sigma 1.5): the outer product of
+    the 1-D ones."""
+    one_d = gaussian_1d()
+    return np.outer(one_d, one_d)
 
 
 def _windowed_means(x, window):

@@ -16,7 +16,6 @@ from skdistill.attention import (
     FeatureMap,
     channel_attention_matrix,
     channel_cross_attention,
-    spatial_attention_matrix,
     spatial_cross_attention,
 )
 from skdistill.checkpoint import (
@@ -39,7 +38,7 @@ from skdistill.losses import (
     gaussian_kernel_distance,
     total_loss,
 )
-from skdistill.metrics import gaussian_window, psnr, ssim
+from skdistill.metrics import psnr, ssim
 from skdistill.models import (
     ModelConfig,
     build_net,
@@ -54,7 +53,13 @@ from skdistill.trainer import (
     train_teacher,
 )
 
-from oracles import brute_force_channel, brute_force_spatial, brute_force_ssim_window
+from oracles import (
+    brute_force_channel,
+    brute_force_spatial,
+    brute_force_ssim_window,
+    gaussian_window,
+    spatial_attention_matrix,
+)
 
 
 def report(line: str) -> None:
@@ -82,10 +87,10 @@ class TestCompressionAccounting:
         for cfg in (TEACHER_CFG, STUDENT_CFG):
             net = build_net(cfg, 0)
             a_params, a_flops = count_params_flops(cfg, 16, 16)
-            assert a_params == net.param_count()
+            assert a_params == sum(p.size for p in net.params().values())
             with T.count_macs() as counter:
                 net.forward_with_features(Tensor(np.zeros((1, 16, 16))))
-            assert a_flops == counter.flops
+            assert a_flops == 2 * counter.macs
         report(f"compression accounting: params -{p_red:.1f}%, flops -{f_red:.1f}% "
                f"(window [80, 90]), analytic {analytic_time*1e3:.1f} ms, "
                f"instrumented trace exact")

@@ -307,6 +307,23 @@ class TestBoundaryErrors:
         assert main(["count", "--config", str(path)]) == 1
         assert "unified_dim" in capsys.readouterr().err
 
+    def test_distill_student_channels_must_match_the_teacher(self, tiny_run, tmp_path,
+                                                              capsys):
+        run, _ = tiny_run
+        teacher, out = tmp_path / "teacher.skdc", tmp_path / "student.skdc"
+        save_working_checkpoint(run, teacher)
+        rgb = replace(run, model=replace(run.model, input_channels=3),
+                      student_model=replace(run.student_model, input_channels=3),
+                      train=replace(run.train, loss=replace(run.train.loss, alpha2=0.0,
+                                                            alpha3=0.0)),
+                      data=replace(run.data, channels=3))
+        path = tmp_path / "rgb.json"
+        save_run_config(rgb, path)
+        assert main(["distill", "--config", str(path), "--teacher", str(teacher),
+                     "--out", str(out)]) == 1
+        assert "error: student input_channels 3 differ" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_checkpoint_model_with_projector_width(self, tiny_run, dataset, tmp_path,
                                                    capsys):
         run, _ = tiny_run

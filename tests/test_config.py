@@ -16,10 +16,11 @@ from skdistill.config import (
     load_run_config,
     save_run_config,
 )
-from skdistill.data import CorpusSpec
+from skdistill.data import CorpusSpec, make_samples, normalize
 from skdistill.errors import ConfigError, SkdError
 from skdistill.losses import LossWeights
-from skdistill.models import ModelConfig
+from skdistill.models import ModelConfig, build_net
+from skdistill.tensor import Tensor
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -98,6 +99,23 @@ class TestRoundtrip:
     def test_shipped_config_loads(self, path):
         run = load_run_config(path)
         assert RunConfig.from_dict(run.to_dict()) == run
+
+    # a net that cannot read its config's own corpus fails at step 1 of a run
+    @pytest.mark.parametrize("path", CONFIGS, ids=[p.name for p in CONFIGS])
+    def test_shipped_config_nets_run_on_its_data(self, path):
+        run = load_run_config(path)
+        (sample,) = make_samples(run.data, count=1)
+        x = Tensor(normalize(sample.degraded))
+        for cfg in filter(None, (run.model, run.student_model)):
+            assert build_net(cfg, 0).forward(x).shape == sample.clean.shape
+
+    @pytest.mark.parametrize("net", ["model", "student_model"])
+    def test_net_channels_must_match_the_data(self, net):
+        blob = self.make_run().to_dict()
+        blob[net]["input_channels"] = 3
+        with pytest.raises(ConfigError,
+                           match=f"data.channels 1 differs from {net}.input_channels 3"):
+            RunConfig.from_dict(blob)
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -8,7 +8,6 @@ from skdistill.data import (
     batch_indices,
     degrade,
     denormalize,
-    make_clean_corpus,
     make_clean_image,
     make_samples,
     normalize,
@@ -22,27 +21,28 @@ from skdistill.metrics import psnr
 class TestCleanCorpus:
     def test_deterministic(self):
         spec = CorpusSpec(count=4, patch_size=16, base_seed=7)
-        a = make_clean_corpus(spec)
-        b = make_clean_corpus(spec)
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        a = make_samples(spec)
+        b = make_samples(spec)
+        assert all(x.clean.tobytes() == y.clean.tobytes() for x, y in zip(a, b))
 
     def test_single_small_image_range(self):
         spec = CorpusSpec(count=1, patch_size=8)
-        (img,) = make_clean_corpus(spec)
+        (sample,) = make_samples(spec)
+        img = sample.clean
         assert img.shape == (1, 8, 8)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_mean_calibration_over_thousand_images(self):
         spec = CorpusSpec(count=1000, patch_size=16, base_seed=11)
-        means = [img.mean() for img in make_clean_corpus(spec)]
+        means = [s.clean.mean() for s in make_samples(spec)]
         assert min(means) > 0.2
         assert max(means) < 0.8
 
     def test_first_index_offsets_are_fresh_images(self):
         spec = CorpusSpec(count=2, patch_size=8, base_seed=0)
-        base = make_clean_corpus(spec)
-        held = make_clean_corpus(spec, first_index=2, count=2)
-        assert base[0].tobytes() != held[0].tobytes()
+        base = make_samples(spec)
+        held = make_samples(spec, first_index=2, count=2)
+        assert base[0].clean.tobytes() != held[0].clean.tobytes()
 
 
 class TestSpecBounds:

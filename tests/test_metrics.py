@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skdistill.errors import NonFiniteError, RangeError, ShapeError
-from skdistill.metrics import gaussian_window, psnr, ssim
+from skdistill.metrics import psnr, ssim
 
-from oracles import brute_force_ssim_window, window_ssim
+from oracles import brute_force_ssim_window, gaussian_window, window_ssim
 
 
 class TestPsnr:

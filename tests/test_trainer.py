@@ -232,6 +232,17 @@ class TestDistillation:
                   if name.startswith("aux.proj")}
         assert widths == {3}
 
+    def test_input_channel_mismatch_rejected(self, teacher_ckpt):
+        # at zero weights the 1-channel teacher never runs, so only this
+        # check stops a 3-channel student from training
+        run = tiny_run(model=ModelConfig([1, 1], base_channels=6, input_channels=3),
+                       student_model=ModelConfig([1, 1], base_channels=4, input_channels=3),
+                       train=TrainConfig(epochs=1, batch_size=4, eval_interval=100, seed=5,
+                                         loss=LossWeights(alpha2=0.0, alpha3=0.0)),
+                       data=CorpusSpec(count=8, patch_size=16, channels=3, base_seed=5))
+        with pytest.raises(ConfigError, match="input_channels 3 differ from the teacher's 1"):
+            distill(run, teacher_ckpt, *make_train_heldout(run))
+
     def test_level_count_mismatch_rejected(self):
         run = tiny_run(student_model=ModelConfig([1], base_channels=4, input_channels=1))
         samples, held = make_train_heldout(run)
@@ -262,11 +273,13 @@ class TestPlainStudent:
             return net
 
         monkeypatch.setattr(trainer, "load_net", frozen_unused)
-        res = distill(self._plain_run(1), teacher_ckpt)
+        run = self._plain_run(1)
+        res = distill(run, teacher_ckpt, *make_train_heldout(run))
         assert not res.aborted and res.history
 
     def test_history_is_reconstruction_only(self, teacher_ckpt):
-        res = distill(self._plain_run(2), teacher_ckpt)
+        run = self._plain_run(2)
+        res = distill(run, teacher_ckpt, *make_train_heldout(run))
         assert len(res.history) == 4
         for h in res.history:
             assert h["gk"] == 0.0 and h["cl"] == 0.0
@@ -275,7 +288,8 @@ class TestPlainStudent:
     def test_projectors_never_move(self, teacher_ckpt):
         # zero gradients give Adam an update of exactly 0
         def projectors(epochs):
-            tensors = distill(self._plain_run(epochs), teacher_ckpt).checkpoint.tensors
+            run = self._plain_run(epochs)
+            tensors = distill(run, teacher_ckpt, *make_train_heldout(run)).checkpoint.tensors
             return {k: v.tobytes() for k, v in tensors.items() if k.startswith("aux.proj")}
 
         one, two = projectors(1), projectors(2)
