@@ -3,22 +3,20 @@
 Layout, all little-endian:
 
     magic           4 bytes  b"SKDC"
-    version         u32      = 1
+    version         u32      = 2
     step            u64
-    rng_len         u32      followed by a UTF-8 JSON object: a reserved RNG-state
-                             block, written as {}; on load it must be an object
-                             and its content is discarded
     meta_len        u32      followed by a UTF-8 JSON object: metadata (configs etc.)
     tensor_count    u32
     per tensor:
         name_len    u32      followed by UTF-8 name, unique in the file
-        dtype       u8       0 = float64 (the only code)
         rank        u8
         dims        u32 * rank
         payload     float64 little-endian, prod(dims) values
 
-Loading parses the whole file before returning, so a failed load applies
-no partial state. Errors carry the byte offset of the problem.
+Every payload is float64, so no tensor records a dtype. A file of any
+other version, 1 included, is refused. Loading parses the whole file
+before returning, so a failed load applies no partial state. Errors carry
+the byte offset of the problem.
 """
 
 from __future__ import annotations
@@ -41,8 +39,7 @@ from .errors import (
 )
 
 MAGIC = b"SKDC"
-VERSION = 1
-DTYPE_FLOAT64 = 0
+VERSION = 2
 
 
 @dataclass
@@ -60,16 +57,15 @@ def _write_checkpoint(stream: BinaryIO, ckpt: Checkpoint) -> None:
     """Writes `ckpt` in the layout above. Each payload goes to the stream
     straight from its array's memory; only an array that is not already
     C-ordered little-endian float64 is converted first."""
-    stream.write(MAGIC + struct.pack("<IQ", VERSION, ckpt.step))
-    for blob in (_encode_json({}), _encode_json(ckpt.meta)):
-        stream.write(struct.pack("<I", len(blob)))
-        stream.write(blob)
+    meta = _encode_json(ckpt.meta)
+    stream.write(MAGIC + struct.pack("<IQI", VERSION, ckpt.step, len(meta)))
+    stream.write(meta)
     stream.write(struct.pack("<I", len(ckpt.tensors)))
     for name, arr in ckpt.tensors.items():
         arr = np.asarray(arr, dtype="<f8", order="C")  # ascontiguousarray would promote 0-d to 1-d
         name_bytes = name.encode("utf-8")
-        stream.write(struct.pack(f"<I{len(name_bytes)}sBB{arr.ndim}I", len(name_bytes),
-                                 name_bytes, DTYPE_FLOAT64, arr.ndim, *arr.shape))
+        stream.write(struct.pack(f"<I{len(name_bytes)}sB{arr.ndim}I", len(name_bytes),
+                                 name_bytes, arr.ndim, *arr.shape))
         # a flat view casts at any shape; memoryview refuses to cast a zero extent
         stream.write(memoryview(arr.reshape(-1)).cast("B"))
 
@@ -172,7 +168,6 @@ def _read_checkpoint(stream: BinaryIO, size: int) -> Checkpoint:
         raise CheckpointVersionError(
             f"unsupported checkpoint version {version} at offset 4, expected {VERSION}")
     step = r.u64()
-    r.json_object("RNG state")
     meta = r.json_object("metadata")
     count = r.u32()
     tensors: dict[str, np.ndarray] = {}
@@ -185,11 +180,6 @@ def _read_checkpoint(stream: BinaryIO, size: int) -> Checkpoint:
             raise CheckpointFormatError(f"bad tensor name at offset {name_offset}: {exc}") from exc
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor {name!r} at offset {name_offset}")
-        dtype_offset = r.offset
-        dtype = r.u8()
-        if dtype != DTYPE_FLOAT64:
-            raise CheckpointFormatError(
-                f"unknown dtype code {dtype} for tensor {name!r} at offset {dtype_offset}")
         rank = r.u8()
         dims_offset = r.offset
         dims = tuple(r.u32() for _ in range(rank))

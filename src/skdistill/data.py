@@ -150,17 +150,15 @@ def _rain(img: np.ndarray, rng: np.random.Generator, density: float) -> np.ndarr
     return out
 
 
-def degrade(clean: np.ndarray, task: str, spec: CorpusSpec, seed: int) -> np.ndarray:
-    """Apply one degradation; deterministic per seed; output clipped to [0, 1]."""
-    if task not in TASKS:
-        raise ConfigError(f"unknown task {task!r}, expected one of {TASKS}")
-    rng = rng_for(seed, "degrade", task)
-    if task == "denoise":
+def degrade(clean: np.ndarray, spec: CorpusSpec, seed: int) -> np.ndarray:
+    """Apply the spec's degradation; deterministic per seed; output clipped to [0, 1]."""
+    rng = rng_for(seed, "degrade", spec.task)
+    if spec.task == "denoise":
         if spec.noise_sigma == 0.0:
             return clean.copy()
         noisy = clean + rng.normal(scale=spec.noise_sigma, size=clean.shape)
         return np.clip(noisy, 0.0, 1.0)
-    if task == "deblur":
+    if spec.task == "deblur":
         return np.clip(_blur(clean, spec.blur_sigma), 0.0, 1.0)
     rained = _rain(clean, rng, spec.rain_density)
     return np.clip(rained, 0.0, 1.0)
@@ -178,7 +176,7 @@ def make_samples(spec: CorpusSpec, *, first_index: int = 0,
         clean = make_clean_image(spec, idx)
         seed = int(rng_for(spec.base_seed, "sample", idx).integers(0, 2**63 - 1))
         samples.append(Sample(clean=clean,
-                              degraded=degrade(clean, spec.task, spec, seed),
+                              degraded=degrade(clean, spec, seed),
                               task=spec.task))
     return samples
 

@@ -19,13 +19,16 @@ from .errors import ConfigError, DegenerateFeatureError, NonFiniteError, RangeEr
 from .seeding import rng_for
 from .tensor import Tensor
 
+# the paper's alpha1, the weight of the kernel loss's two attention-mixed terms
+ALPHA1 = 0.5
+
 
 @dataclass
 class LossWeights:
-    """Every knob of the distillation objective; `unified_dim` is the shared
-    width of the per-tap projectors that the kernel loss compares in."""
+    """Every configured knob of the distillation objective; `unified_dim` is
+    the shared width of the per-tap projectors that the kernel loss compares
+    in. The mixed-term weight is the constant `ALPHA1`."""
 
-    alpha1: float = 0.5
     alpha2: float = 0.2
     alpha3: float = 0.2
     sigma: float = 1.0
@@ -33,7 +36,7 @@ class LossWeights:
     unified_dim: int = 8
 
     def __post_init__(self):
-        if min(self.alpha1, self.alpha2, self.alpha3) < 0:
+        if min(self.alpha2, self.alpha3) < 0:
             raise ConfigError("loss weights must be nonnegative")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
@@ -62,10 +65,10 @@ def gaussian_kernel_distance(x, y, sigma: float = 1.0) -> Tensor:
 def gk_block_loss(s_f: FeatureMap, s_fc: FeatureMap, s_ft: FeatureMap,
                   t_f: FeatureMap, w: LossWeights) -> Tensor:
     """Kernel loss for one distilled block: direct term plus the two
-    attention-mixed terms scaled by alpha1."""
+    attention-mixed terms scaled by ALPHA1."""
     gk = lambda a, b: gaussian_kernel_distance(a.values, b.values, w.sigma)
     mixed = T.add(gk(s_fc, t_f), gk(s_ft, t_f))
-    return T.add(gk(s_f, t_f), T.mul(mixed, w.alpha1))
+    return T.add(gk(s_f, t_f), T.mul(mixed, ALPHA1))
 
 
 def gk_feature_loss(blocks: Sequence[tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]],

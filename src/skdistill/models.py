@@ -39,7 +39,6 @@ from .errors import ConfigError, NonFiniteError, ShapeError
 from .seeding import rng_for
 from .tensor import Tensor
 
-LN_EPS = 1e-5
 FFN_EXPANSION = 2
 
 
@@ -217,7 +216,7 @@ class RestorationNet:
         return T.linear(self._p(f"{name}.w"), m, self._p(f"{name}.b"))
 
     def _ln(self, name: str, m: Tensor) -> Tensor:
-        return T.layer_norm_channels(m, self._p(f"{name}.g"), self._p(f"{name}.b"), eps=LN_EPS)
+        return T.layer_norm_channels(m, self._p(f"{name}.g"), self._p(f"{name}.b"))
 
     def _attn(self, base: str, m: Tensor) -> Tensor:
         q = self._pw(f"{base}.attn.q", m)

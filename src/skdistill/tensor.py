@@ -468,7 +468,10 @@ def linear(w, m, bias) -> Tensor:
     return _node(out_data, "linear", (w, m, bias), backward)
 
 
-def layer_norm_channels(x, gamma, beta, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5  # added to the variance in `layer_norm_channels`
+
+
+def layer_norm_channels(x, gamma, beta) -> Tensor:
     """Normalize each column of a (C, N) matrix over its channel axis, then
     apply the per-channel affine (gamma, beta)."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
@@ -481,7 +484,7 @@ def layer_norm_channels(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     mu = x.data.mean(axis=0, keepdims=True)
     centered = x.data - mu
     var = np.mean(centered * centered, axis=0, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     y = centered * inv_std
     out_data = gamma.data[:, None] * y
     out_data += beta.data[:, None]

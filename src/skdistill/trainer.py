@@ -80,13 +80,13 @@ def adam_step(params: list[Tensor], grads: list[np.ndarray], state: AdamState,
     return state
 
 
-def cosine_lr(step: int, total_steps: int, lr_max: float, lr_min: float) -> float:
-    """Half-cosine decay from lr_max at step 0 to lr_min at step == total."""
+def cosine_lr(step: int, total_steps: int, lr_max: float) -> float:
+    """Half-cosine decay from lr_max at step 0 to `LR_MIN` at step == total."""
     if total_steps < 1:
         raise RangeError(f"total_steps must be >= 1, got {total_steps}")
     if not 0 <= step <= total_steps:
         raise RangeError(f"step {step} outside [0, {total_steps}]")
-    return lr_min + 0.5 * (lr_max - lr_min) * (1.0 + math.cos(math.pi * step / total_steps))
+    return LR_MIN + 0.5 * (lr_max - LR_MIN) * (1.0 + math.cos(math.pi * step / total_steps))
 
 
 @dataclass
@@ -138,7 +138,6 @@ def _finalize(net: RestorationNet, aux: dict[str, Tensor], run: RunConfig,
         "model": net.cfg.to_dict(),
         "config": run.to_dict(),
         "config_hash": config_hash(run),
-        "adam_t": state.t,
     }
     if aborted:
         meta["aborted"] = True
@@ -217,7 +216,7 @@ def _train_loop(net: RestorationNet, extra_params: dict[str, Tensor],
             break
         for batch_ids in batch_indices(len(train_samples), cfg.batch_size,
                                        cfg.seed, epoch):
-            lr = cosine_lr(step, total_steps, cfg.lr_max, LR_MIN)
+            lr = cosine_lr(step, total_steps, cfg.lr_max)
             batch = [train_samples[i] for i in batch_ids]
             try:
                 loss_value, components, grads = _batch_step(objective, batch, params,

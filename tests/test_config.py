@@ -18,7 +18,7 @@ from skdistill.config import (
 )
 from skdistill.data import CorpusSpec, make_samples, normalize
 from skdistill.errors import ConfigError, SkdError
-from skdistill.losses import LossWeights
+from skdistill.losses import ALPHA1, LossWeights
 from skdistill.models import ModelConfig, build_net
 from skdistill.tensor import Tensor
 
@@ -28,12 +28,12 @@ CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"
 class TestDefaults:
     def test_loss_weight_defaults(self):
         w = LossWeights()
-        assert (w.alpha1, w.alpha2, w.alpha3) == (0.5, 0.2, 0.2)
+        assert (ALPHA1, w.alpha2, w.alpha3) == (0.5, 0.2, 0.2)
         assert w.tau == 1e-6
         assert w.sigma == 1.0
         assert w.unified_dim == 8
         assert [f.name for f in dataclasses.fields(w)] == \
-            ["alpha1", "alpha2", "alpha3", "sigma", "tau", "unified_dim"]
+            ["alpha2", "alpha3", "sigma", "tau", "unified_dim"]
 
     def test_train_defaults(self):
         t = TrainConfig()
@@ -42,6 +42,13 @@ class TestDefaults:
         assert LR_MIN == 1e-6
         assert [f.name for f in dataclasses.fields(t)] == \
             ["epochs", "batch_size", "lr_max", "seed", "eval_interval", "loss"]
+
+    def test_distill_run_has_24_settable_values(self):
+        # a nested dataclass counts its own fields; a list is one value
+        def count(obj):
+            return sum(count(value) if dataclasses.is_dataclass(value) else 1
+                       for value in (getattr(obj, f.name) for f in dataclasses.fields(obj)))
+        assert count(RunConfig(student_model=ModelConfig())) == 24
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -81,7 +88,7 @@ class TestRoundtrip:
         save_run_config(run, path)
         assert load_run_config(path) == run
         raw = json.loads(path.read_text())
-        assert raw["train"]["loss"]["alpha1"] == 0.5
+        assert raw["train"]["loss"]["alpha2"] == 0.3 and "alpha1" not in raw["train"]["loss"]
         assert raw["data"]["task"] == "deblur"
         assert raw["model"]["level_layers"] == [2, 3]
 

@@ -59,31 +59,31 @@ class TestSpecBounds:
 
 class TestDegrade:
     def test_noise_zero_sigma_is_identity(self):
-        spec = CorpusSpec(count=1, patch_size=8, noise_sigma=0.0)
+        spec = CorpusSpec(count=1, patch_size=8, task="denoise", noise_sigma=0.0)
         clean = make_clean_image(spec, 0)
-        assert np.array_equal(degrade(clean, "denoise", spec, 5), clean)
+        assert np.array_equal(degrade(clean, spec, 5), clean)
 
     def test_blur_delta_kernel_is_identity(self):
-        spec = CorpusSpec(count=1, patch_size=8, blur_sigma=0.0)
+        spec = CorpusSpec(count=1, patch_size=8, task="deblur", blur_sigma=0.0)
         clean = make_clean_image(spec, 0)
-        assert np.array_equal(degrade(clean, "deblur", spec, 5), clean)
+        assert np.array_equal(degrade(clean, spec, 5), clean)
 
     def test_rain_zero_density_is_identity(self):
-        spec = CorpusSpec(count=1, patch_size=8, rain_density=0.0)
+        spec = CorpusSpec(count=1, patch_size=8, task="derain", rain_density=0.0)
         clean = make_clean_image(spec, 0)
-        assert np.array_equal(degrade(clean, "derain", spec, 5), clean)
+        assert np.array_equal(degrade(clean, spec, 5), clean)
 
     def test_unknown_task(self):
-        spec = CorpusSpec(count=1, patch_size=8)
-        with pytest.raises(ConfigError):
-            degrade(make_clean_image(spec, 0), "sharpen", spec, 0)
+        # `degrade` reads the task from a spec, which refuses an unknown one
+        with pytest.raises(ConfigError, match="task must be one of"):
+            CorpusSpec(count=1, patch_size=8, task="sharpen")
 
     def test_deterministic_per_seed(self):
         spec = CorpusSpec(count=1, patch_size=16)
         clean = make_clean_image(spec, 0)
-        a = degrade(clean, "denoise", spec, 9)
-        b = degrade(clean, "denoise", spec, 9)
-        c = degrade(clean, "denoise", spec, 10)
+        a = degrade(clean, spec, 9)
+        b = degrade(clean, spec, 9)
+        c = degrade(clean, spec, 10)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -95,9 +95,10 @@ class TestDegrade:
     def test_psnr_decreases_with_strength(self, task, param, grid):
         values = []
         for strength in grid:
-            spec = CorpusSpec(count=1, patch_size=32, base_seed=2, **{param: strength})
+            spec = CorpusSpec(count=1, patch_size=32, base_seed=2, task=task,
+                              **{param: strength})
             clean = make_clean_image(spec, 0)
-            out = degrade(clean, task, spec, seed=123)
+            out = degrade(clean, spec, seed=123)
             values.append(psnr(clean, out, 1.0))
         assert all(np.isfinite(values))
         assert all(a > b for a, b in zip(values, values[1:]))
@@ -106,7 +107,7 @@ class TestDegrade:
         for task in ("denoise", "deblur", "derain"):
             spec = CorpusSpec(count=1, patch_size=16, task=task,
                               noise_sigma=0.5, rain_density=0.5)
-            out = degrade(make_clean_image(spec, 0), task, spec, 3)
+            out = degrade(make_clean_image(spec, 0), spec, 3)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
 

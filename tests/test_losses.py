@@ -94,7 +94,7 @@ class TestGaussianKernelDistance:
 
 class TestGkFeatureLoss:
     def test_equal_distances_give_two_d_per_block(self):
-        w = LossWeights(alpha1=0.5)
+        w = LossWeights()
         t = fmap(np.zeros((2, 1, 2)))
         s = fmap(np.full((2, 1, 2), 0.5))
         d = gaussian_kernel_distance(s.values, t.values, w.sigma).item()
@@ -115,7 +115,7 @@ class TestGkFeatureLoss:
         t_rows = [[1.0, 0.0], [0.0, 1.0]]
         s_rows = [[1.0, 2.0], [3.0, 4.0]]
         lam = math.sqrt(2.0)
-        w = LossWeights(alpha1=0.5, sigma=1.0)
+        w = LossWeights(sigma=1.0)
         t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
         s_fc = channel_cross_attention(t, s)
         s_ft = spatial_cross_attention(t, s)

@@ -78,19 +78,19 @@ class TestAdam:
 
 class TestCosineLr:
     def test_endpoints_and_midpoint(self):
-        assert cosine_lr(0, 1000, 2e-4, 1e-6) == pytest.approx(2e-4)
-        assert cosine_lr(1000, 1000, 2e-4, 1e-6) == pytest.approx(1e-6)
-        assert cosine_lr(500, 1000, 2e-4, 1e-6) == pytest.approx(1.005e-4)
+        assert cosine_lr(0, 1000, 2e-4) == pytest.approx(2e-4)
+        assert cosine_lr(1000, 1000, 2e-4) == pytest.approx(1e-6)
+        assert cosine_lr(500, 1000, 2e-4) == pytest.approx(1.005e-4)
 
     def test_monotone_decay(self):
-        values = [cosine_lr(s, 100, 1e-3, 1e-6) for s in range(0, 101, 10)]
+        values = [cosine_lr(s, 100, 1e-3) for s in range(0, 101, 10)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_out_of_range(self):
         with pytest.raises(RangeError):
-            cosine_lr(-1, 100, 1e-3, 1e-6)
+            cosine_lr(-1, 100, 1e-3)
         with pytest.raises(RangeError):
-            cosine_lr(101, 100, 1e-3, 1e-6)
+            cosine_lr(101, 100, 1e-3)
 
 
 class TestTeacherTraining:
