@@ -536,6 +536,16 @@ def test_gradcheck_command_fails_on_non_finite_gradient(monkeypatch, capsys):
     assert "FAIL log near zero" in out and "1 failing checks at seed 0 " in out
 
 
+# the gate is fixed, so no tolerance value passes: argparse refuses the flag itself
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4", "x"])
+def test_gradcheck_tolerance_must_be_finite_and_positive(monkeypatch, capsys, tol):
+    monkeypatch.setattr(cli, "run_gradcheck_suite", lambda seed: [])
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --tol={tol}" in capsys.readouterr().err
+
+
 def test_gradcheck_has_no_tolerance_flag(monkeypatch, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gradcheck", "--tol", "1e-3"])
