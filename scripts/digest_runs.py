@@ -12,8 +12,10 @@ stored config and its hash) but not `tensors`, which moves only when the
 trained bits do. The `infer` entry is the `evaluate` report (PSNR, SSIM,
 parameters, FLOPs) of a seeded `configs/student_restormer_shaped.json` net
 on four 64x64 RGB derain patches, its zero-initialised `final.w` drawn from
-the seed so that every layer reaches the output. A refactor that claims to
-keep behaviour shows the same output before and after:
+the seed so that every layer reaches the output. The `corpus` entry is the
+sha256 of the `make_samples` bytes, clean then degraded per sample, of the
+denoise32 corpus spec for each task at seeds 0 and 3. A refactor that
+claims to keep behaviour shows the same output before and after:
 
     PYTHONPATH=src python3 scripts/digest_runs.py > after.json
     diff before.json after.json
@@ -42,6 +44,7 @@ INFER_SIZE = 64
 EPOCHS = 2
 SEEDS = (0, 3)
 TAUS = (1e-6, 0.5)
+TASKS = ("denoise", "deblur", "derain")
 
 
 def _sha256(blob: bytes) -> str:
@@ -84,6 +87,14 @@ def _infer_report(seed: int) -> dict:
     return {k: report[k] for k in ("psnr", "ssim", "params", "flops")}
 
 
+def _corpus_sha256(spec) -> str:
+    h = hashlib.sha256()
+    for sample in make_samples(spec):
+        h.update(sample.clean.tobytes())
+        h.update(sample.degraded.tobytes())
+    return h.hexdigest()
+
+
 def main() -> int:
     base = load_run_config(CONFIG)
     digests = {}
@@ -98,6 +109,10 @@ def main() -> int:
             digests[f"seed{seed}-tau{tau:g}"] = {"teacher": _digest(teacher, heldout),
                                                  "distill": _digest(student, heldout)}
     digests["infer"] = {f"seed{seed}": _infer_report(seed) for seed in SEEDS}
+    digests["corpus"] = {
+        f"{task}-seed{seed}": _corpus_sha256(dataclasses.replace(base.data, task=task,
+                                                                 base_seed=seed))
+        for task in TASKS for seed in SEEDS}
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
