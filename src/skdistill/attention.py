@@ -81,17 +81,19 @@ def _check_pair(t: FeatureMap, s: FeatureMap) -> None:
             f"cross attention needs matching shapes, got {t.values.shape} and {s.values.shape}")
 
 
-def channel_attention_matrix(t: FeatureMap, s: FeatureMap) -> Tensor:
-    """(C, C) row-stochastic attention from teacher channels over student
-    channels, with temperature lambda = sqrt(N)."""
-    _check_pair(t, s)
-    lam = math.sqrt(t.pixels)
-    logits = T.mul(T.matmul(t.matrix(), T.transpose(s.matrix())), 1.0 / lam)
+def channel_attention_matrix(q: Tensor, k: Tensor) -> Tensor:
+    """softmax_rows(q k^T / sqrt(N)) for (C, N) matrices: the row-stochastic
+    attention of q's channels over k's. It is the transposed channel
+    attention of Restormer (Zamir et al. 2022), which the nets run as their
+    self-attention and the cross-net channel interaction runs with teacher
+    queries over student keys."""
+    logits = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[1]))
     return T.softmax_rows(logits)
 
 
 def channel_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
-    a = channel_attention_matrix(t, s)
+    _check_pair(t, s)
+    a = channel_attention_matrix(t.matrix(), s.matrix())
     out = T.matmul(a, s.matrix())
     return FeatureMap(T.reshape(out, s.values.shape))
 

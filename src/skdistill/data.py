@@ -15,13 +15,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, RangeError, ShapeError
-from .metrics import gaussian_1d
+from .metrics import gaussian_1d, separable_filter_valid
 from .seeding import rng_for
 
 TASKS = ("denoise", "deblur", "derain")
 # rain streaks: mean angle from the horizontal in degrees, and mean length in pixels
 RAIN_ANGLE = 70.0
 RAIN_LENGTH = 9.0
+# numpy refuses the (2, n, n) int64 pixel grid with a ValueError, not a
+# MemoryError, once it passes the maximum array size near n = 7.6e8; below
+# this cap a size too large to allocate fails as a MemoryError (exit 1)
+MAX_PATCH_SIZE = 10**8
 
 
 @dataclass
@@ -40,8 +44,9 @@ class CorpusSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"corpus count must be >= 1, got {self.count}")
-        if self.patch_size < 1:
-            raise ConfigError(f"patch size must be >= 1, got {self.patch_size}")
+        if not 1 <= self.patch_size <= MAX_PATCH_SIZE:
+            raise ConfigError(
+                f"patch size must be in [1, {MAX_PATCH_SIZE}], got {self.patch_size}")
         if self.channels not in (1, 3):
             raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
         if self.task not in TASKS:
@@ -116,21 +121,13 @@ def _blur(img: np.ndarray, sigma: float) -> np.ndarray:
     if sigma <= 0:
         return img.copy()
     radius = max(int(math.ceil(3.0 * sigma)), 1)
-    kernel = gaussian_1d(2 * radius + 1, sigma)
-    out = np.empty_like(img)
-    for c in range(img.shape[0]):
-        padded = np.pad(img[c], radius, mode="edge")
-        rows = np.apply_along_axis(lambda r: np.convolve(r, kernel, mode="valid"), 1, padded)
-        out[c] = np.apply_along_axis(lambda col: np.convolve(col, kernel, mode="valid"), 0, rows)
-    return out
+    padded = np.pad(img, ((0, 0), (radius, radius), (radius, radius)), mode="edge")
+    return separable_filter_valid(padded, gaussian_1d(2 * radius + 1, sigma))
 
 
 def _rain(img: np.ndarray, rng: np.random.Generator, density: float) -> np.ndarray:
     _, h, w = img.shape
     n_streaks = int(round(density * h * w / RAIN_LENGTH))
-    if n_streaks == 0:
-        return img.copy()
-    out = img.copy()
     layer = np.zeros((h, w))
     for _ in range(n_streaks):
         cy, cx = rng.uniform(0, h), rng.uniform(0, w)
@@ -146,22 +143,19 @@ def _rain(img: np.ndarray, rng: np.random.Generator, density: float) -> np.ndarr
                 # gaussian profile along the streak
                 layer[iy, ix] = max(layer[iy, ix],
                                     brightness * math.exp(-(2.0 * t / seg) ** 2))
-    out += layer[None, :, :]
-    return out
+    return img + layer[None, :, :]
 
 
 def degrade(clean: np.ndarray, spec: CorpusSpec, seed: int) -> np.ndarray:
     """Apply the spec's degradation; deterministic per seed; output clipped to [0, 1]."""
     rng = rng_for(seed, "degrade", spec.task)
     if spec.task == "denoise":
-        if spec.noise_sigma == 0.0:
-            return clean.copy()
-        noisy = clean + rng.normal(scale=spec.noise_sigma, size=clean.shape)
-        return np.clip(noisy, 0.0, 1.0)
-    if spec.task == "deblur":
-        return np.clip(_blur(clean, spec.blur_sigma), 0.0, 1.0)
-    rained = _rain(clean, rng, spec.rain_density)
-    return np.clip(rained, 0.0, 1.0)
+        out = clean + rng.normal(scale=spec.noise_sigma, size=clean.shape)
+    elif spec.task == "deblur":
+        out = _blur(clean, spec.blur_sigma)
+    else:
+        out = _rain(clean, rng, spec.rain_density)
+    return np.clip(out, 0.0, 1.0)
 
 
 def make_samples(spec: CorpusSpec, *, first_index: int = 0,

@@ -97,9 +97,9 @@ def _shape_case(r, i):
     other = Tensor(r.normal(size=(2, 3)))
     fn = (lambda x: _sq(T.reshape(x, (6,))),
           lambda x: _sq(T.transpose(x)),
-          lambda x: _sq(T.concat([x, other], axis=0)),
-          lambda x: _sq(T.concat([other, x], axis=1)),
-          lambda x: T.sum_(T.mean(T.mul(x, x), axis=1)))[i % 5]
+          lambda x: _sq(T.concat([x, other])),
+          lambda x: _sq(T.concat([other, x])),
+          lambda x: T.mean(T.mul(x, x)))[i % 5]
     return fn, Tensor(r.normal(size=(2, 3)))
 
 

@@ -48,19 +48,20 @@ def gaussian_1d(size: int = SSIM_WINDOW, sigma: float = SSIM_SIGMA) -> np.ndarra
     return one_d / one_d.sum()
 
 
-def _gaussian_filter_valid(x: np.ndarray) -> np.ndarray:
-    """Valid-mode Gaussian window means of each (H, W) plane of x.
+def separable_filter_valid(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-mode filter of each (H, W) plane of x by the window outer(g, g).
 
-    The window is separable (Wang et al., IEEE TIP 2004), so it runs as one
-    pass of the 1-D weights along rows and one along columns: 2 x 11 taps
-    per output instead of 121."""
-    g = gaussian_1d()
-    h_out, w_out = x.shape[1] - SSIM_WINDOW + 1, x.shape[2] - SSIM_WINDOW + 1
+    The window is separable, so it runs as one pass of the 1-D weights g
+    along rows and one along columns: 2 len(g) taps per output instead of
+    len(g)^2. SSIM's Gaussian means (Wang et al., IEEE TIP 2004) and the
+    deblur corpus's blur both run here."""
+    size = len(g)
+    h_out, w_out = x.shape[1] - size + 1, x.shape[2] - size + 1
     rows = g[0] * x[:, :, :w_out]
-    for k in range(1, SSIM_WINDOW):
+    for k in range(1, size):
         rows += g[k] * x[:, :, k:k + w_out]
     out = g[0] * rows[:, :h_out]
-    for k in range(1, SSIM_WINDOW):
+    for k in range(1, size):
         out += g[k] * rows[:, k:k + h_out]
     return out
 
@@ -70,17 +71,14 @@ def ssim(a, b, data_range: float = 1.0) -> float:
     a, b = _check_pair(a, b)
     if data_range <= 0:
         raise RangeError(f"data_range must be positive, got {data_range}")
-    if a.ndim == 2:
-        a = a[None]
-        b = b[None]
     if a.ndim != 3:
-        raise ShapeError(f"ssim expects (C,H,W) or (H,W), got shape {a.shape}")
+        raise ShapeError(f"ssim expects (C,H,W), got shape {a.shape}")
     if a.shape[1] < SSIM_WINDOW or a.shape[2] < SSIM_WINDOW:
         raise ShapeError(
             f"image {a.shape[1]}x{a.shape[2]} smaller than the {SSIM_WINDOW}x{SSIM_WINDOW} window")
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    stats = _gaussian_filter_valid(np.concatenate([a, b, a * a, b * b, a * b]))
+    stats = separable_filter_valid(np.concatenate([a, b, a * a, b * b, a * b]), gaussian_1d())
     mu_a, mu_b, e_aa, e_bb, e_ab = np.split(stats, 5)
     var_a = e_aa - mu_a * mu_a
     var_b = e_bb - mu_b * mu_b

@@ -3,7 +3,8 @@
 Structure: a U-shaped net with len(level_layers) levels; channels double at
 every encoder level and halve back up the decoder. Each level is a dense
 group: block j fuses the level input plus all previous block outputs with a
-1x1 map, then applies layer-normalized channel self-attention and a
+1x1 map, then applies layer-normalized channel self-attention (the
+cross-net channel branch's `attention.channel_attention_matrix`) and a
 pointwise feed-forward (expansion 2), both residual. Downsampling is a
 depthwise-separable strided 3x3; upsampling is nearest-neighbor + depthwise
 3x3, run as the one op `tensor.upsample2x_depthwise_conv2d`, with the
@@ -33,7 +34,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .attention import FeatureMap
+from .attention import FeatureMap, channel_attention_matrix
 from .configdict import DictConfig
 from .errors import ConfigError, NonFiniteError, ShapeError
 from .seeding import rng_for
@@ -222,8 +223,7 @@ class RestorationNet:
         q = self._pw(f"{base}.attn.q", m)
         k = self._pw(f"{base}.attn.k", m)
         v = self._pw(f"{base}.attn.v", m)
-        logits = T.mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(m.shape[1]))
-        mixed = T.matmul(T.softmax_rows(logits), v)
+        mixed = T.matmul(channel_attention_matrix(q, k), v)
         return self._pw(f"{base}.attn.o", mixed)
 
     def _ffn(self, base: str, m: Tensor) -> Tensor:
@@ -234,7 +234,7 @@ class RestorationNet:
         produced = [m]
         for j in range(blocks):
             base = f"{prefix}.b{j}"
-            cat = produced[0] if len(produced) == 1 else T.concat(produced, axis=0)
+            cat = produced[0] if len(produced) == 1 else T.concat(produced)
             u = self._pw(f"{base}.fuse", cat)
             u = T.add(u, self._attn(base, self._ln(f"{base}.ln1", u)))
             u = T.add(u, self._ffn(base, self._ln(f"{base}.ln2", u)))
@@ -280,7 +280,7 @@ class RestorationNet:
             cur = T.upsample2x_depthwise_conv2d(cur, self._p(f"up{level}.dw.w"),
                                                 self._p(f"up{level}.dw.b"))
             cat = T.concat([T.reshape(cur, (2 * c, ch * cw)),
-                            T.reshape(skips[level - 1], (c, ch * cw))], axis=0)
+                            T.reshape(skips[level - 1], (c, ch * cw))])
             m = self._pw(f"up{level}.fuse", cat)
             m = self._group(f"dec{level}", cfg.level_layers[level - 1], m)
             cur = T.reshape(m, (c, ch, cw))

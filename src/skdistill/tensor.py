@@ -65,15 +65,14 @@ def _record_macs(n: int) -> None:
 class Tensor:
     """A dense float64 array plus an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_id", "_parents", "_backward",
+    __slots__ = ("data", "grad", "requires_grad", "_id", "_parents", "_backward",
                  "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, parents: tuple = (),
-                 op: str = "leaf", backward: Callable | None = None):
+                 backward: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.op = op
         self._id = next(_ids)
         self._parents = parents
         self._backward = backward
@@ -94,7 +93,7 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, op="detach")
+        return Tensor(self.data, requires_grad=False)
 
     def _accum_owned(self, g: np.ndarray) -> None:
         """Accumulate a freshly allocated (or dead-buffer) gradient.
@@ -140,7 +139,7 @@ class Tensor:
                     leaf.grad = np.zeros_like(leaf.data)
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -159,7 +158,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def _node(data, op: str, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
+def _node(data, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
     """The output node of an op over `inputs`.
 
     Its parents are the inputs that need a gradient, and `backward` is kept
@@ -171,8 +170,8 @@ def _node(data, op: str, inputs: Sequence[Tensor], backward: Callable) -> Tensor
     """
     parents = tuple([t for t in inputs if t.requires_grad])  # a list builds faster
     if not parents:
-        return Tensor(data, op=op)
-    return Tensor(data, requires_grad=True, parents=parents, op=op, backward=backward)
+        return Tensor(data)
+    return Tensor(data, requires_grad=True, parents=parents, backward=backward)
 
 
 def add(a, b) -> Tensor:
@@ -186,7 +185,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             gb = _unbroadcast(g, b.shape)
             b._accum_owned(gb.copy() if gb is ga else gb)  # `a` owns `g` already
-    return _node(a.data + b.data, "add", (a, b), backward)
+    return _node(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -197,7 +196,7 @@ def sub(a, b) -> Tensor:
             a._accum_owned(_unbroadcast(g, a.shape))
         if b.requires_grad:
             b._accum_owned(_unbroadcast(-g, b.shape))
-    return _node(a.data - b.data, "sub", (a, b), backward)
+    return _node(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -208,7 +207,7 @@ def mul(a, b) -> Tensor:
             a._accum_owned(_unbroadcast(g * b.data, a.shape))
         if b.requires_grad:
             b._accum_owned(_unbroadcast(g * a.data, b.shape))
-    return _node(a.data * b.data, "mul", (a, b), backward)
+    return _node(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
@@ -219,19 +218,18 @@ def div(a, b) -> Tensor:
             a._accum_owned(_unbroadcast(g / b.data, a.shape))
         if b.requires_grad:
             b._accum_owned(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-    return _node(a.data / b.data, "div", (a, b), backward)
+    return _node(a.data / b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     a = as_tensor(a)
-    return _node(-a.data, "neg", (a,), lambda g: a._accum_owned(-g))
+    return _node(-a.data, (a,), lambda g: a._accum_owned(-g))
 
 
 def pow_(a, p: float) -> Tensor:
     a = as_tensor(a)
     p = float(p)
-    return _node(a.data ** p, "pow", (a,),
-                 lambda g: a._accum_owned(g * p * a.data ** (p - 1.0)))
+    return _node(a.data ** p, (a,), lambda g: a._accum_owned(g * p * a.data ** (p - 1.0)))
 
 
 def sqrt(a) -> Tensor:
@@ -241,17 +239,17 @@ def sqrt(a) -> Tensor:
 def exp(a) -> Tensor:
     a = as_tensor(a)
     y = np.exp(a.data)
-    return _node(y, "exp", (a,), lambda g: a._accum_owned(g * y))
+    return _node(y, (a,), lambda g: a._accum_owned(g * y))
 
 
 def log(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.log(a.data), "log", (a,), lambda g: a._accum_owned(g / a.data))
+    return _node(np.log(a.data), (a,), lambda g: a._accum_owned(g / a.data))
 
 
 def abs_(a) -> Tensor:
     a = as_tensor(a)
-    return _node(np.abs(a.data), "abs", (a,), lambda g: a._accum_owned(g * np.sign(a.data)))
+    return _node(np.abs(a.data), (a,), lambda g: a._accum_owned(g * np.sign(a.data)))
 
 
 def gelu(a) -> Tensor:
@@ -266,23 +264,19 @@ def gelu(a) -> Tensor:
     def backward(g):
         pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
         a._accum_owned(g * (cdf + a.data * pdf))
-    return _node(a.data * cdf, "gelu", (a,), backward)
+    return _node(a.data * cdf, (a,), backward)
 
 
-def sum_(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def sum_(a) -> Tensor:
+    """Sum of every element, a 0-d tensor."""
     a = as_tensor(a)
-
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accum_owned(np.broadcast_to(g, a.shape).copy())
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), "sum", (a,), backward)
+    return _node(a.data.sum(), (a,), lambda g: a._accum_owned(np.full(a.shape, g)))
 
 
-def mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
+    """Mean of every element, a 0-d tensor."""
     a = as_tensor(a)
-    n = a.size if axis is None else a.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a), 1.0 / a.size)
 
 
 def reshape(a, shape) -> Tensor:
@@ -290,29 +284,28 @@ def reshape(a, shape) -> Tensor:
     shape = tuple(int(s) for s in shape)
     if int(np.prod(shape)) != a.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    return _node(a.data.reshape(shape), "reshape", (a,),
-                 lambda g: a._accum_owned(g.reshape(a.shape)))
+    return _node(a.data.reshape(shape), (a,), lambda g: a._accum_owned(g.reshape(a.shape)))
 
 
 def transpose(a) -> Tensor:
     a = as_tensor(a)
     if a.ndim != 2:
         raise ShapeError(f"transpose expects a matrix, got shape {a.shape}")
-    return _node(a.data.T, "transpose", (a,), lambda g: a._accum_owned(g.T))
+    return _node(a.data.T, (a,), lambda g: a._accum_owned(g.T))
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Concatenation along axis 0."""
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise ShapeError("concat of an empty sequence")
 
     def backward(g):
-        splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
-        for piece, t in zip(np.split(g, splits, axis=axis), tensors):
+        splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
+        for piece, t in zip(np.split(g, splits), tensors):
             if t.requires_grad:
                 t._accum_owned(piece)
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), "concat",
-                 tensors, backward)
+    return _node(np.concatenate([t.data for t in tensors]), tensors, backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -328,7 +321,7 @@ def matmul(a, b) -> Tensor:
             a._accum_owned(g @ b.data.T)
         if b.requires_grad:
             b._accum_owned(a.data.T @ g)
-    return _node(a.data @ b.data, "matmul", (a, b), backward)
+    return _node(a.data @ b.data, (a, b), backward)
 
 
 def _softmax(a, axis: int, op: str) -> Tensor:
@@ -345,7 +338,7 @@ def _softmax(a, axis: int, op: str) -> Tensor:
         gy = g * y
         gy -= y * gy.sum(axis=axis, keepdims=True)
         a._accum_owned(gy)
-    return _node(y, op, (a,), backward)
+    return _node(y, (a,), backward)
 
 
 def softmax_rows(a) -> Tensor:
@@ -441,7 +434,7 @@ def spatial_attend(t, s, scale: float) -> Tensor:
         if dt is not None:
             dt *= scale
             t._accum_owned(dt)
-    return _node(y, "spatial_attend", (t, s), backward)
+    return _node(y, (t, s), backward)
 
 
 def linear(w, m, bias) -> Tensor:
@@ -465,7 +458,7 @@ def linear(w, m, bias) -> Tensor:
             m._accum_owned(w.data.T @ g)
         if bias.requires_grad:
             bias._accum_owned(g.sum(axis=1))
-    return _node(out_data, "linear", (w, m, bias), backward)
+    return _node(out_data, (w, m, bias), backward)
 
 
 LN_EPS = 1e-5  # added to the variance in `layer_norm_channels`
@@ -500,7 +493,7 @@ def layer_norm_channels(x, gamma, beta) -> Tensor:
             dx -= y * (dy * y).mean(axis=0, keepdims=True)
             dx *= inv_std
             x._accum_owned(dx)
-    return _node(out_data, "layer_norm", (x, gamma, beta), backward)
+    return _node(out_data, (x, gamma, beta), backward)
 
 
 def _conv_out_extent(extent: int, stride: int) -> int:
@@ -562,7 +555,7 @@ def conv2d(x, w, bias, stride: int = 1) -> Tensor:
             for di, dj, tap in _taps(stride, h_out, w_out):
                 dxp[tap] += dcols[:, di, dj]
             x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
-    return _node(out_data, "conv2d", (x, w, bias), backward)
+    return _node(out_data, (x, w, bias), backward)
 
 
 def _depthwise_inputs(op: str, x, w, bias) -> tuple[Tensor, Tensor, Tensor]:
@@ -602,7 +595,7 @@ def depthwise_conv2d(x, w, bias, stride: int = 1) -> Tensor:
             for di, dj, tap in _taps(stride, h_out, w_out):
                 dxp[tap] += w.data[:, di, dj, None, None] * g
             x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
-    return _node(out_data, "depthwise_conv2d", (x, w, bias), backward)
+    return _node(out_data, (x, w, bias), backward)
 
 
 def upsample2x_nearest(x) -> Tensor:
@@ -612,7 +605,7 @@ def upsample2x_nearest(x) -> Tensor:
     if x.ndim != 3:
         raise ShapeError(f"upsample2x_nearest expects (C,H,W), got shape {x.shape}")
     c, h, w = x.shape
-    return _node(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), "upsample2x", (x,),
+    return _node(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), (x,),
                  lambda g: x._accum_owned(g.reshape(c, h, 2, w, 2).sum(axis=(2, 4))))
 
 
@@ -675,8 +668,7 @@ def upsample2x_depthwise_conv2d(x, w, bias) -> Tensor:
             w._accum_owned(dw)
         if dxp is not None:
             x._accum_owned(dxp[:, 1:h + 1, 1:wd + 1])
-    return _node(out.reshape(c, 2 * h, 2 * wd), "upsample2x_depthwise_conv2d",
-                 (x, w, bias), backward)
+    return _node(out.reshape(c, 2 * h, 2 * wd), (x, w, bias), backward)
 
 
 GRADCHECK_STEP = 1e-5  # h of the central differences in `gradcheck`

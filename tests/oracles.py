@@ -4,7 +4,8 @@ The brute-force oracles are written with plain Python floats and math.* so
 they stay independent of the tensor engine they are used to check.
 `gaussian_window` is the 2-D SSIM window, and `window_ssim` is SSIM with
 that window summed tap by tap, the reference for the separable filter of
-`metrics.ssim`.
+`metrics.ssim`. `window_blur` is the deblur corpus's Gaussian blur summed
+the same way, the reference for `data._blur`.
 `spatial_attention_matrix` is the spatial attention built from engine ops,
 holding its N x N arrays: the composite reference for the blocked
 `attention.spatial_cross_attention`.
@@ -92,11 +93,26 @@ def brute_force_ssim_window(a, b, weights, c1, c2):
         ((mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2))
 
 
-def gaussian_window():
-    """Normalized 11x11 Gaussian weights (sigma 1.5): the outer product of
-    the 1-D ones."""
-    one_d = gaussian_1d()
+def gaussian_window(size=11, sigma=1.5):
+    """Normalized size x size Gaussian weights: the outer product of the
+    1-D ones. The defaults are the SSIM window."""
+    one_d = gaussian_1d(size, sigma)
     return np.outer(one_d, one_d)
+
+
+def window_blur(img, sigma):
+    """Gaussian blur of a (C, H, W) image as a direct 2-D sum: the image
+    edge-padded by r = max(ceil(3 sigma), 1), each output pixel the sum of
+    its (2r+1)^2 neighbourhood against the 2-D window, tap by tap."""
+    r = max(math.ceil(3.0 * sigma), 1)
+    window = gaussian_window(2 * r + 1, sigma)
+    _, h, w = img.shape
+    padded = np.pad(img, ((0, 0), (r, r), (r, r)), mode="edge")
+    out = np.zeros(img.shape)
+    for di in range(2 * r + 1):
+        for dj in range(2 * r + 1):
+            out += window[di, dj] * padded[:, di:di + h, dj:dj + w]
+    return out
 
 
 def _windowed_means(x, window):

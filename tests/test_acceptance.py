@@ -152,7 +152,7 @@ class TestAttentionNormalization:
             scale = [1.0, 1e2, 1e3][seed % 3]
             t = FeatureMap(Tensor(g.uniform(-scale, scale, size=(4, 2, 3))))
             s = FeatureMap(Tensor(g.uniform(-scale, scale, size=(4, 2, 3))))
-            a = channel_attention_matrix(t, s).data
+            a = channel_attention_matrix(t.matrix(), s.matrix()).data
             b = spatial_attention_matrix(t, s).data
             worst = max(worst,
                         float(np.max(np.abs(a.sum(axis=1) - 1.0))),

@@ -71,14 +71,14 @@ class TestProject:
 class TestChannelAttention:
     def test_degenerate_scalar(self):
         t, s = fmap([[[2.0]]]), fmap([[[5.0]]])
-        a = channel_attention_matrix(t, s)
+        a = channel_attention_matrix(t.matrix(), s.matrix())
         assert np.allclose(a.data, [[1.0]])
         assert np.allclose(channel_cross_attention(t, s).values.data, s.values.data)
 
     def test_zero_teacher_gives_uniform_rows(self):
         _, s = random_pair(4, c=3)
         t = fmap(np.zeros((3, 2, 4)))
-        a = channel_attention_matrix(t, s)
+        a = channel_attention_matrix(t.matrix(), s.matrix())
         assert np.allclose(a.data, np.full((3, 3), 1.0 / 3.0))
         out = channel_cross_attention(t, s).values.data
         mean_row = s.matrix().data.mean(axis=0)
@@ -92,7 +92,7 @@ class TestChannelAttention:
         lam = math.sqrt(2.0)
         want, want_a = brute_force_channel(t_rows, s_rows, lam)
         got = channel_cross_attention(t, s).values.data.reshape(2, 2)
-        got_a = channel_attention_matrix(t, s).data
+        got_a = channel_attention_matrix(t.matrix(), s.matrix()).data
         assert np.max(np.abs(got - np.array(want))) < 1e-12
         assert np.max(np.abs(got_a - np.array(want_a))) < 1e-12
 
@@ -239,7 +239,7 @@ class TestNormalizationProperties:
     @given(st.integers(0, 2**31 - 1), st.sampled_from([1.0, 100.0, 1000.0]))
     def test_rows_and_columns_sum_to_one(self, seed, scale):
         t, s = random_pair(seed, c=3, h=2, w=3, scale=scale)
-        a = channel_attention_matrix(t, s)
+        a = channel_attention_matrix(t.matrix(), s.matrix())
         assert np.all(np.abs(a.data.sum(axis=1) - 1.0) < 1e-9)
         b = spatial_attention_matrix(t, s)
         assert np.all(np.abs(b.data.sum(axis=0) - 1.0) < 1e-9)
@@ -248,9 +248,9 @@ class TestNormalizationProperties:
     @given(st.integers(0, 2**31 - 1), st.floats(0.1, 50.0))
     def test_argmax_invariant_under_positive_scaling(self, seed, c):
         t, s = random_pair(seed, c=3, h=2, w=2)
-        a1 = channel_attention_matrix(t, s).data
+        a1 = channel_attention_matrix(t.matrix(), s.matrix()).data
         t_scaled = fmap(t.values.data * c)
-        a2 = channel_attention_matrix(t_scaled, s).data
+        a2 = channel_attention_matrix(t_scaled.matrix(), s.matrix()).data
         assert np.array_equal(a1.argmax(axis=1), a2.argmax(axis=1))
         b1 = spatial_attention_matrix(t, s).data
         b2 = spatial_attention_matrix(t_scaled, s).data

@@ -499,6 +499,24 @@ class TestBoundaryErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Unable to allocate" in err and "Traceback" not in err
 
+    # numpy cannot even describe a (2, 1e10, 1e10) grid: the spec refuses the
+    # size before any array is asked for
+    @pytest.mark.parametrize("command", [
+        ["synth", "--spec", "{cfg}", "--out", "{tmp}/data"],
+        ["train-teacher", "--config", "{cfg}", "--out", "{tmp}/t.skdc"],
+    ])
+    def test_patch_size_above_cap_exits_1(self, tiny_run, tmp_path, capsys, command):
+        run, _ = tiny_run
+        blob = run.to_dict()
+        blob["data"]["patch_size"] = 10**10
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(blob))
+        argv = [a.format(cfg=path, tmp=tmp_path) for a in command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "patch size must be in [1, 100000000]" in err and "Traceback" not in err
+
     # NaN is refused on load; 1e308 in the last layer overflows the output
     @pytest.mark.parametrize("name,value,match", [("embed.b", np.nan, "embed.b"),
                                                   ("final.w", 1e308, "output")])

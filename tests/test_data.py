@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skdistill.data import (
+    MAX_PATCH_SIZE,
     CorpusSpec,
+    _blur,
     batch_indices,
     degrade,
     denormalize,
@@ -16,6 +18,8 @@ from skdistill.data import (
 )
 from skdistill.errors import ConfigError, RangeError, ShapeError, SkdError
 from skdistill.metrics import psnr
+
+from oracles import window_blur
 
 
 class TestCleanCorpus:
@@ -56,6 +60,11 @@ class TestSpecBounds:
         with pytest.raises(ConfigError, match=field):
             CorpusSpec(**{field: value})
 
+    def test_patch_size_cap_is_inclusive(self):
+        assert CorpusSpec(patch_size=MAX_PATCH_SIZE).patch_size == MAX_PATCH_SIZE
+        with pytest.raises(ConfigError, match="patch size"):
+            CorpusSpec(patch_size=MAX_PATCH_SIZE + 1)
+
 
 class TestDegrade:
     def test_noise_zero_sigma_is_identity(self):
@@ -67,6 +76,14 @@ class TestDegrade:
         spec = CorpusSpec(count=1, patch_size=8, task="deblur", blur_sigma=0.0)
         clean = make_clean_image(spec, 0)
         assert np.array_equal(degrade(clean, spec, 5), clean)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.2, 3.2])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_blur_matches_direct_window_sum(self, sigma, channels):
+        spec = CorpusSpec(count=1, patch_size=24, channels=channels, task="deblur",
+                          blur_sigma=sigma)
+        clean = make_clean_image(spec, 0)
+        assert np.max(np.abs(_blur(clean, sigma) - window_blur(clean, sigma))) < 1e-13
 
     def test_rain_zero_density_is_identity(self):
         spec = CorpusSpec(count=1, patch_size=8, task="derain", rain_density=0.0)

@@ -104,12 +104,16 @@ class TestSsim:
     def test_multichannel_averages(self):
         g = np.random.default_rng(4)
         a, b = g.random((3, 16, 16)), g.random((3, 16, 16))
-        per_channel = [ssim(a[c], b[c]) for c in range(3)]
+        per_channel = [ssim(a[c:c + 1], b[c:c + 1]) for c in range(3)]
         assert ssim(a, b) == pytest.approx(np.mean(per_channel), abs=1e-15)
 
     def test_too_small_image(self):
         with pytest.raises(ShapeError):
             ssim(np.zeros((1, 8, 8)), np.zeros((1, 8, 8)))
+
+    def test_plane_without_channel_axis(self):
+        with pytest.raises(ShapeError, match=r"\(C,H,W\)"):
+            ssim(np.zeros((16, 16)), np.zeros((16, 16)))
 
 
 @pytest.mark.parametrize("metric", [psnr, ssim])
