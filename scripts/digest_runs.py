@@ -14,7 +14,9 @@ parameters, FLOPs) of a seeded `configs/student_restormer_shaped.json` net
 on four 64x64 RGB derain patches, its zero-initialised `final.w` drawn from
 the seed so that every layer reaches the output. The `corpus` entry is the
 sha256 of the `make_samples` bytes, clean then degraded per sample, of the
-denoise32 corpus spec for each task at seeds 0 and 3. A refactor that
+denoise32 corpus spec for each task at seeds 0 and 3, and for deblur also
+at blur sigmas 2.0 and 3.2, whose kernels (13 and 21 taps) are longer
+than the config's 1.2 (9 taps). A refactor that
 claims to keep behaviour shows the same output before and after:
 
     PYTHONPATH=src python3 scripts/digest_runs.py > after.json
@@ -45,6 +47,7 @@ EPOCHS = 2
 SEEDS = (0, 3)
 TAUS = (1e-6, 0.5)
 TASKS = ("denoise", "deblur", "derain")
+LONG_BLURS = (2.0, 3.2)
 
 
 def _sha256(blob: bytes) -> str:
@@ -113,6 +116,10 @@ def main() -> int:
         f"{task}-seed{seed}": _corpus_sha256(dataclasses.replace(base.data, task=task,
                                                                  base_seed=seed))
         for task in TASKS for seed in SEEDS}
+    digests["corpus"].update({
+        f"deblur-sigma{sigma:g}-seed{seed}": _corpus_sha256(
+            dataclasses.replace(base.data, task="deblur", blur_sigma=sigma, base_seed=seed))
+        for sigma in LONG_BLURS for seed in SEEDS})
     json.dump(digests, sys.stdout, indent=2, sort_keys=True)
     print()
     return 0
