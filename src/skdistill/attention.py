@@ -3,8 +3,9 @@
 Teacher and student features are first projected into a shared channel
 width, then mixed along two axes: a channel interaction built from the
 C x C similarity of projected maps, and a spatial interaction built from
-the N x N similarity of flattened pixel columns. Both return maps shaped
-like the student feature.
+the N x N similarity of flattened pixel columns. The channel one returns
+a map shaped like the student feature; the spatial one returns its kernel
+distance from the teacher map, the one term of the loss that reads it.
 """
 
 from __future__ import annotations
@@ -98,23 +99,28 @@ def channel_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
     return FeatureMap(T.reshape(out, s.values.shape))
 
 
-def spatial_cross_attention(t: FeatureMap, s: FeatureMap) -> FeatureMap:
-    """S @ B, B the (N, N) attention over pixel positions with temperature
-    lambda = sqrt(C), normalized over each column so that each output column
-    is a convex combination of student pixel columns. One blocked engine op,
-    `tensor.spatial_attend`, runs it without holding B."""
+def spatial_cross_attention(t: FeatureMap, s: FeatureMap, sigma: float) -> Tensor:
+    """The kernel distance of the spatial interaction from the teacher map:
+    1 - exp(-mean((S B - T)^2) / (2 sigma^2)), B the (N, N) attention over
+    pixel positions with temperature lambda = sqrt(C), normalized over each
+    column so that each column of S B is a convex combination of student
+    pixel columns. S B feeds only this term of the kernel loss, so one
+    blocked engine op, `tensor.spatial_kernel_distance`, runs both and its
+    gradient without holding B."""
     _check_pair(t, s)
-    out = T.spatial_attend(t.matrix(), s.matrix(), 1.0 / math.sqrt(t.channels))
-    return FeatureMap(T.reshape(out, s.values.shape))
+    m = t.matrix()
+    return T.spatial_kernel_distance(m, s.matrix(), m, 1.0 / math.sqrt(t.channels), sigma)
 
 
 def cross_net_features(t_raw: FeatureMap, s_raw: FeatureMap,
-                       p_t: tuple[Tensor, Tensor], p_s: tuple[Tensor, Tensor]
-                       ) -> tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]:
+                       p_t: tuple[Tensor, Tensor], p_s: tuple[Tensor, Tensor],
+                       sigma: float) -> tuple[FeatureMap, FeatureMap, Tensor, FeatureMap]:
     """Project a raw teacher/student pair and run both interactions.
 
-    Returns (s_f, s_fc, s_ft, t_f). The raw teacher map is detached first,
-    so the teacher network stays frozen while its projector still trains.
+    Returns (s_f, s_fc, gk_ft, t_f): gk_ft is the spatial interaction's
+    kernel distance at width `sigma`, the only form in which the loss reads
+    it. The raw teacher map is detached first, so the teacher network stays
+    frozen while its projector still trains.
     """
     width_t, width_s = p_t[0].shape[0], p_s[0].shape[0]
     if width_t != width_s:
@@ -122,5 +128,5 @@ def cross_net_features(t_raw: FeatureMap, s_raw: FeatureMap,
     t_f = project(p_t, FeatureMap(t_raw.values.detach()))
     s_f = project(p_s, s_raw)
     s_fc = channel_cross_attention(t_f, s_f)
-    s_ft = spatial_cross_attention(t_f, s_f)
-    return s_f, s_fc, s_ft, t_f
+    gk_ft = spatial_cross_attention(t_f, s_f, sigma)
+    return s_f, s_fc, gk_ft, t_f

@@ -124,18 +124,16 @@ def _softmax_case(r, i):
     return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(scale=3.0, size=(3, 4)))
 
 
-def _spatial_attend_case(width):
-    """Trials of `spatial_attend` on (2, width(r)) matrices, t and s in turn."""
+def _spatial_kernel_case(width):
+    """Trials of `spatial_kernel_distance` on (2, width(r)) matrices, t, s
+    and u in turn."""
     def case(r, i):
         shape = (2, width(r))
-        other = Tensor(r.normal(size=shape))
-        target = Tensor(r.normal(size=shape))
-        scale = float(r.uniform(0.3, 1.5))
-        if i % 2 == 0:
-            fn = lambda x: T.spatial_attend(x, other, scale)
-        else:
-            fn = lambda x: T.spatial_attend(other, x, scale)
-        return lambda x: _sq(T.sub(fn(x), target)), Tensor(r.normal(size=shape))
+        args = [Tensor(r.normal(size=shape)) for _ in range(3)]
+        scale, sigma = float(r.uniform(0.3, 1.5)), float(r.uniform(0.8, 2.0))
+        k = i % 3
+        return lambda x: T.spatial_kernel_distance(*args[:k], x, *args[k + 1:], scale, sigma), \
+            args[k]
     return case
 
 
@@ -165,13 +163,22 @@ def _upsample_depthwise_case(r, i):
     return lambda x: _sq(T.upsample2x_depthwise_conv2d(*args[:k], x, *args[k + 1:])), args[k]
 
 
-def _attention_case(attend):
-    def case(r, i):
-        t = FeatureMap(Tensor(r.normal(size=(2, 2, 2))))
-        ref = Tensor(r.normal(size=(2, 2, 2)))
-        return lambda x: _sq(T.sub(attend(t, FeatureMap(x)).values, ref)), \
-            Tensor(r.normal(size=(2, 2, 2)))
-    return case
+def _channel_attention_case(r, i):
+    t = FeatureMap(Tensor(r.normal(size=(2, 2, 2))))
+    ref = Tensor(r.normal(size=(2, 2, 2)))
+    return lambda x: _sq(T.sub(channel_cross_attention(t, FeatureMap(x)).values, ref)), \
+        Tensor(r.normal(size=(2, 2, 2)))
+
+
+def _spatial_attention_case(r, i):
+    # the teacher map is both the attention's t and the distance's u
+    other = FeatureMap(Tensor(r.normal(size=(2, 2, 2))))
+    sigma = float(r.uniform(0.8, 2.0))
+    if i % 2 == 0:
+        fn = lambda x: spatial_cross_attention(other, FeatureMap(x), sigma)
+    else:
+        fn = lambda x: spatial_cross_attention(FeatureMap(x), other, sigma)
+    return fn, Tensor(r.normal(size=(2, 2, 2)))
 
 
 def _projector_case(r, i):
@@ -181,8 +188,8 @@ def _projector_case(r, i):
 
     def fn(x):
         p_t = (x, Tensor(np.zeros(2)))
-        s_f, s_fc, s_ft, t_f = cross_net_features(t_raw, s_raw, p_t, p_s)
-        return T.add(_sq(T.sub(s_fc.values, t_f.values)), _sq(T.sub(s_ft.values, t_f.values)))
+        s_f, s_fc, gk_ft, t_f = cross_net_features(t_raw, s_raw, p_t, p_s, 1.0)
+        return T.add(_sq(T.sub(s_fc.values, t_f.values)), gk_ft)
     return fn, Tensor(r.normal(size=(2, 3)))
 
 
@@ -219,7 +226,7 @@ def _objective_case(r, i):
     negs = [phi(Tensor(r.normal(size=(1, 8, 8))))]
 
     def fn(x):
-        gk = gk_feature_loss([cross_net_features(t_raw, FeatureMap(x), p_t, p_s)], w)
+        gk = gk_feature_loss([cross_net_features(t_raw, FeatureMap(x), p_t, p_s, w.sigma)], w)
         image = T.reshape(T.matmul(T.reshape(x, (1, 8)), mix), (1, 8, 8))
         rec = reconstruction_loss(image, target)
         cl = contrastive_loss_from_features(phi(image), pos, negs, w.tau)
@@ -259,16 +266,16 @@ CHECKS = (
     ("matmul", 8, _matmul_case),
     ("linear (w/m/bias)", 6, _linear_case),
     ("softmax rows/cols", 8, _softmax_case),
-    ("spatial_attend (t/s)", 8, _spatial_attend_case(lambda r: 3)),
-    # one full block of columns (rows, backward) plus a ragged remainder
-    ("spatial_attend (multi-block)", 4,
-     _spatial_attend_case(lambda r: T.ATTEND_BLOCK + int(r.integers(1, T.ATTEND_BLOCK)))),
+    ("spatial_kernel_distance (t/s/u)", 6, _spatial_kernel_case(lambda r: 3)),
+    # one full block of columns plus a ragged remainder
+    ("spatial_kernel_distance (multi-block)", 6,
+     _spatial_kernel_case(lambda r: T.ATTEND_BLOCK + int(r.integers(1, T.ATTEND_BLOCK)))),
     ("layer_norm_channels", 6, _layer_norm_case),
     ("conv2d", 8, _conv_case("conv2d", (3, 2, 3, 3), 3)),
     ("depthwise_conv2d", 6, _conv_case("depthwise_conv2d", (2, 3, 3), 2)),
     ("upsample2x_depthwise_conv2d (x/w/bias)", 6, _upsample_depthwise_case),
-    ("channel cross attention", 5, _attention_case(channel_cross_attention)),
-    ("spatial cross attention", 5, _attention_case(spatial_cross_attention)),
+    ("channel cross attention", 5, _channel_attention_case),
+    ("spatial cross attention", 5, _spatial_attention_case),
     ("projector through interactions", 4, _projector_case),
     ("gaussian kernel distance", 6, _gk_case),
     ("reconstruction (mean L1)", 4, _rec_case),

@@ -62,19 +62,20 @@ def gaussian_kernel_distance(x, y, sigma: float = 1.0) -> Tensor:
     return T.sub(1.0, T.exp(T.mul(d2, -1.0 / (2.0 * sigma * sigma))))
 
 
-def gk_block_loss(s_f: FeatureMap, s_fc: FeatureMap, s_ft: FeatureMap,
+def gk_block_loss(s_f: FeatureMap, s_fc: FeatureMap, gk_ft: Tensor,
                   t_f: FeatureMap, w: LossWeights) -> Tensor:
     """Kernel loss for one distilled block: direct term plus the two
-    attention-mixed terms scaled by ALPHA1."""
+    attention-mixed terms scaled by ALPHA1. The spatial mixed term comes
+    whole as `gk_ft`, the kernel distance from `spatial_cross_attention`."""
     gk = lambda a, b: gaussian_kernel_distance(a.values, b.values, w.sigma)
-    mixed = T.add(gk(s_fc, t_f), gk(s_ft, t_f))
+    mixed = T.add(gk(s_fc, t_f), gk_ft)
     return T.add(gk(s_f, t_f), T.mul(mixed, ALPHA1))
 
 
-def gk_feature_loss(blocks: Sequence[tuple[FeatureMap, FeatureMap, FeatureMap, FeatureMap]],
+def gk_feature_loss(blocks: Sequence[tuple[FeatureMap, FeatureMap, Tensor, FeatureMap]],
                     w: LossWeights) -> Tensor:
     """Sum of per-block kernel losses over the distilled blocks, in order;
-    each block is the `(s_f, s_fc, s_ft, t_f)` of `cross_net_features`."""
+    each block is the `(s_f, s_fc, gk_ft, t_f)` of `cross_net_features`."""
     if not blocks:
         raise ConfigError("gk_feature_loss needs at least one block")
     total = gk_block_loss(*blocks[0], w)

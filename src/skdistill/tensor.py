@@ -11,8 +11,10 @@ nodes in exact reverse creation order, which keeps runs bitwise
 reproducible.
 
 Multiply-accumulate counts (for the complexity accounting) are recorded
-only by `matmul`, `linear`, `spatial_attend` and the three convolution ops,
-under the convention 1 MAC = 2 FLOPs.
+only by `matmul`, `linear`, `spatial_kernel_distance` and the three
+convolution ops, under the convention 1 MAC = 2 FLOPs.
+`spatial_kernel_distance` records the 2 C N^2 of the attention output it
+replaces and none for the gradient it forms in its forward.
 
 Ops do not check their values: NaN and Inf propagate, and finiteness is
 checked where data enters the package and where results leave it.
@@ -351,11 +353,64 @@ def softmax_cols(a) -> Tensor:
     return _softmax(a, 0, "softmax_cols")
 
 
-ATTEND_BLOCK = 64  # columns (forward) or rows (backward) of P per block
+ATTEND_BLOCK = 64  # columns of P per block
 
 
-def spatial_attend(t, s, scale: float) -> Tensor:
-    """s @ softmax_cols(scale * t^T s) for (C, N) inputs, as one graph node.
+def _attend_blocks(t: np.ndarray, s: np.ndarray, scale: float,
+                   u: np.ndarray | None = None) -> tuple:
+    """The column-block loop of `spatial_kernel_distance` on (C, N) arrays.
+
+    Returns (y, dt, ds) with y = s @ softmax_cols(scale * t^T s). Given u,
+    dt and ds are what the output gradient y - u sends back to t (before
+    the factor `scale`) and to s; without u they are None.
+    """
+    c, n = s.shape
+    # [ts; -1] and [s; m]: an extra row carries each column's shift into
+    # the product, so no broadcast subtraction runs over a block
+    ts_minus = np.vstack([t * scale, np.full((1, n), -1.0)])
+    s_shift = np.vstack([s, np.empty((1, n))])
+    ts, shift = ts_minus[:c], s_shift[c]  # shift: the column maxima m
+    total = np.empty(n)  # z
+    y = np.empty((c, n))
+    block = (min(ATTEND_BLOCK, n), n)
+    buf = np.empty(block)  # one block of P, transposed: row k is column j + k
+    dt = ds = None
+    if u is not None:
+        dt, ds = np.zeros((c, n)), np.zeros((c, n))
+        s_minus = np.vstack([s, np.full((1, n), -1.0)])  # [s; -1]
+        dl_buf = np.empty(block)
+    for j in range(0, n, ATTEND_BLOCK):
+        cols = slice(j, j + ATTEND_BLOCK)
+        p = buf[:min(ATTEND_BLOCK, n - j)]
+        np.matmul(s[:, cols].T, ts, out=p)
+        p.max(axis=1, out=shift[cols])
+        np.matmul(s_shift[:, cols].T, ts_minus, out=p)
+        np.exp(p, out=p)
+        p.sum(axis=1, out=total[cols])
+        y_cols = s @ p.T
+        y_cols /= total[cols]
+        y[:, cols] = y_cols
+        if u is None:
+            continue
+        # softmax Jacobian with dy = y - u: dL = P * (s^T dy - r), r the
+        # column sums of P * s^T dy, which are sum_c dy * y. With P_J =
+        # p^T / z, the block's dL^T is p * ([dy; r]^T / z [s; -1]), and
+        # s's direct share is (dy / z) p.
+        dy = y_cols - u[:, cols]
+        lhs = np.vstack([dy, np.einsum("cj,cj->j", dy, y_cols)[None]])
+        lhs /= total[cols]
+        dl = dl_buf[:p.shape[0]]
+        np.matmul(lhs.T, s_minus, out=dl)
+        dl *= p
+        ds += lhs[:c] @ p
+        ds[:, cols] += ts @ dl.T
+        dt += s[:, cols] @ dl
+    return y, dt, ds
+
+
+def spatial_kernel_distance(t, s, u, scale: float, sigma: float) -> Tensor:
+    """1 - exp(-mean((y - u)^2) / (2 sigma^2)) with y = s @ softmax_cols(scale
+    * t^T s), for three (C, N) inputs t, s and u, as one graph node.
 
     No N x N array exists: the forward runs over blocks of ATTEND_BLOCK
     columns of the logits, and the softmax runs over each column, so every
@@ -363,78 +418,46 @@ def spatial_attend(t, s, scale: float) -> Tensor:
     the rows of one (ATTEND_BLOCK, N) buffer reused across blocks: L =
     s_cols^T ts gives the row maxima m, L - m is recomputed as the product
     [s_cols; m]^T [ts; -1], exponentiated in place and summed along rows
-    to z, and the output block is (s @ exp(L - m)^T) / z. It matches an
+    to z, and the output block is (s @ exp(L - m)^T) / z. y matches an
     extended-precision reference to 1e-14 relative and the composite
     `matmul(s, softmax_cols(matmul(transpose(t * scale), s)))` to 1e-13,
-    not bitwise. The backward keeps only the output and each column's
-    shift m + log z, and recomputes P one block of rows at a time, as
-    FlashAttention does (Dao et al. 2022): P_ij = exp(ts_i . s_j - m_j -
-    log z_j). Memory is O(C N + N ATTEND_BLOCK). Records the MACs of the
-    two matmuls it replaces, 2 * C * N^2; the recomputes are not counted.
+    not bitwise; the distance itself is computed from y as
+    `gaussian_kernel_distance` computes it.
+
+    The distance's gradient in y is kappa (y - u), one scalar kappa =
+    exp(-d2 / 2 sigma^2) / (sigma^2 C N) times an array known as soon as
+    a block of y is. So while a block of P is in the buffer, the loop also
+    adds that block's share of the unscaled t and s gradients, and the
+    backward only scales them: P is never recomputed. Memory is O(C N + N
+    ATTEND_BLOCK). Records the MACs of the two matmuls that y replaces,
+    2 * C * N^2; the gradient products are not counted.
     """
-    t, s = as_tensor(t), as_tensor(s)
-    if t.ndim != 2 or t.shape != s.shape:
-        raise ShapeError(f"spatial_attend expects two equal (C, N) matrices, "
-                         f"got {t.shape} and {s.shape}")
+    t, s, u = as_tensor(t), as_tensor(s), as_tensor(u)
+    if t.ndim != 2 or not t.shape == s.shape == u.shape:
+        raise ShapeError(f"spatial_kernel_distance expects three equal (C, N) matrices, "
+                         f"got {t.shape}, {s.shape} and {u.shape}")
     if min(t.shape) < 1:
-        raise ShapeError(f"spatial_attend over an empty dimension, shape {t.shape}")
+        raise ShapeError(f"spatial_kernel_distance over an empty dimension, shape {t.shape}")
+    if sigma <= 0:
+        raise RangeError(f"sigma must be positive, got {sigma}")
     c, n = s.shape
     _record_macs(2 * c * n * n)
-    # [ts; -1] and [s; m]: an extra row carries each column's shift into
-    # the product, so no broadcast subtraction runs over a block
-    ts_minus = np.vstack([t.data * scale, np.full((1, n), -1.0)])
-    s_shift = np.vstack([s.data, np.empty((1, n))])
-    ts, shift = ts_minus[:c], s_shift[c]  # shift: m, then m + log z
-    total = np.empty(n)  # z
-    y = np.empty((c, n))
-    block = (min(ATTEND_BLOCK, n), n)
-    buf = np.empty(block)  # one block of P, transposed: row k is column j + k
-    for j in range(0, n, ATTEND_BLOCK):
-        cols = slice(j, j + ATTEND_BLOCK)
-        p = buf[:min(ATTEND_BLOCK, n - j)]
-        np.matmul(s.data[:, cols].T, ts, out=p)
-        p.max(axis=1, out=shift[cols])
-        np.matmul(s_shift[:, cols].T, ts_minus, out=p)
-        np.exp(p, out=p)
-        p.sum(axis=1, out=total[cols])
-        y_cols = s.data @ p.T
-        y_cols /= total[cols]
-        y[:, cols] = y_cols
-    shift += np.log(total)
+    y, dt, ds = _attend_blocks(t.data, s.data, scale,
+                               u.data if t.requires_grad or s.requires_grad else None)
+    diff = y - u.data
+    d2 = (diff * diff).sum() * (1.0 / y.size)
+    decay = np.exp(d2 * (-1.0 / (2.0 * sigma * sigma)))
+    kappa = decay / (sigma * sigma * y.size)
 
     def backward(g):
-        # softmax Jacobian: dL = P * (dP - r) with dP = s^T g and r the
-        # column sums of P * dP, which have the (C, N) closed form
-        # sum_c g * y. The shift and the subtraction each ride in their
-        # matmul as one extra row, so a block of P costs one product and
-        # one exp, and its dL one product and one multiply.
-        d_lhs = np.vstack([s.data, np.full((1, n), -1.0)])
-        d_rhs = np.vstack([g, np.einsum("cj,cj->j", g, y)[None]])
-        ds = np.empty((c, n)) if s.requires_grad else None
-        dt = np.empty((c, n)) if t.requires_grad else None
-        ds_logits = np.zeros((c, n)) if s.requires_grad else None
-        ds_block = np.empty((c, n)) if s.requires_grad else None
-        p_buf, dl_buf = np.empty(block), np.empty(block)
-        for i in range(0, n, ATTEND_BLOCK):
-            rows = slice(i, i + ATTEND_BLOCK)
-            p, dl = p_buf[:min(ATTEND_BLOCK, n - i)], dl_buf[:min(ATTEND_BLOCK, n - i)]
-            np.matmul(ts_minus[:, rows].T, s_shift, out=p)
-            np.exp(p, out=p)
-            np.matmul(d_lhs[:, rows].T, d_rhs, out=dl)
-            dl *= p
-            if ds is not None:
-                ds[:, rows] = g @ p.T
-                np.matmul(ts[:, rows], dl, out=ds_block)
-                ds_logits += ds_block
-            if dt is not None:
-                dt[:, rows] = s.data @ dl.T
-        if ds is not None:
-            ds += ds_logits
-            s._accum_owned(ds)
-        if dt is not None:
-            dt *= scale
-            t._accum_owned(dt)
-    return _node(y, (t, s), backward)
+        gk = g * kappa
+        if s.requires_grad:
+            s._accum_owned(ds * gk)
+        if t.requires_grad:
+            t._accum_owned(dt * (gk * scale))
+        if u.requires_grad:
+            u._accum_owned(diff * -gk)
+    return _node(1.0 - decay, (t, s, u), backward)
 
 
 def linear(w, m, bias) -> Tensor:

@@ -304,7 +304,7 @@ def distill(run: RunConfig, teacher_ckpt: Checkpoint, train_samples: list[Sample
             if use_gk or use_cl:
                 t_out, t_feats = teacher.forward_with_features(x)
             if use_gk:
-                gk = gk_feature_loss([cross_net_features(t, s, *pair)
+                gk = gk_feature_loss([cross_net_features(t, s, *pair, w.sigma)
                                       for t, s, pair in zip(t_feats, s_feats, pairs)], w)
             if use_cl:
                 cl = contrastive_loss_from_features(

@@ -11,6 +11,9 @@ holding its N x N arrays: the composite reference for the blocked
 `attention.spatial_cross_attention`.
 `extended_spatial_attend` is the spatial attention in numpy's extended
 precision (`np.longdouble`), an accuracy reference for the float64 op.
+`spatial_output` is not a reference: it reads the output y of the spatial
+interaction from the block loop that `spatial_cross_attention` runs, which
+returns only y's kernel distance, so that y can be checked against them.
 `one_graph_step` is the trainer's earlier batch objective, kept as the
 reference for the streamed step that replaced it.
 """
@@ -72,6 +75,12 @@ def extended_spatial_attend(t, s, scale):
     p = np.exp(logits - logits.max(axis=0, keepdims=True))
     p /= p.sum(axis=0, keepdims=True)
     return s @ p
+
+
+def spatial_output(t, s):
+    """y = S B of FeatureMaps t, s as a (C, N) array, from
+    `tensor._attend_blocks`, the loop of `spatial_cross_attention`."""
+    return T._attend_blocks(t.matrix().data, s.matrix().data, 1.0 / math.sqrt(t.channels))[0]
 
 
 def brute_force_gk(x_rows, y_rows, sigma, per_element_mean):

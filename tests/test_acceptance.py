@@ -55,10 +55,12 @@ from skdistill.trainer import (
 
 from oracles import (
     brute_force_channel,
+    brute_force_gk,
     brute_force_spatial,
     brute_force_ssim_window,
     gaussian_window,
     spatial_attention_matrix,
+    spatial_output,
 )
 
 
@@ -172,9 +174,11 @@ class TestInteractionBruteForce:
         want_c, _ = brute_force_channel(t_rows, s_rows, lam)
         want_s, _ = brute_force_spatial(t_rows, s_rows, lam)
         got_c = channel_cross_attention(t, s).values.data.reshape(2, 2)
-        got_s = spatial_cross_attention(t, s).values.data.reshape(2, 2)
+        got_s = spatial_output(t, s)
+        got_gk = spatial_cross_attention(t, s, 1.0).item()
         err = max(float(np.max(np.abs(got_c - np.array(want_c)))),
-                  float(np.max(np.abs(got_s - np.array(want_s)))))
+                  float(np.max(np.abs(got_s - np.array(want_s)))),
+                  abs(got_gk - brute_force_gk(want_s, t_rows, 1.0, True)))
         assert err < 1e-12
         report(f"interaction brute-force equivalence: 2x2 hand case within {err:.1e}")
 

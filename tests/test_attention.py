@@ -16,14 +16,17 @@ from skdistill.attention import (
     project,
     spatial_cross_attention,
 )
-from skdistill.errors import ConfigError, ShapeError
+from skdistill.errors import ConfigError, RangeError, ShapeError
+from skdistill.losses import gaussian_kernel_distance
 from skdistill.tensor import Tensor
 
 from oracles import (
     brute_force_channel,
+    brute_force_gk,
     brute_force_spatial,
     extended_spatial_attend,
     spatial_attention_matrix,
+    spatial_output,
 )
 
 
@@ -106,14 +109,16 @@ class TestChannelAttention:
 class TestSpatialAttention:
     def test_degenerate_scalar(self):
         t, s = fmap([[[2.0]]]), fmap([[[5.0]]])
-        assert np.allclose(spatial_cross_attention(t, s).values.data, s.values.data)
+        assert np.allclose(spatial_output(t, s), [[5.0]])
+        got = spatial_cross_attention(t, s, 1.5).item()
+        assert abs(got - brute_force_gk([[5.0]], [[2.0]], 1.5, True)) < 1e-15
 
     def test_zero_teacher_gives_uniform_columns(self):
         _, s = random_pair(7, c=3, h=2, w=2)
         t = fmap(np.zeros((3, 2, 2)))
         b = spatial_attention_matrix(t, s)
         assert np.allclose(b.data, np.full((4, 4), 0.25))
-        out = spatial_cross_attention(t, s).values.data.reshape(3, 4)
+        out = spatial_output(t, s)
         mean_col = s.matrix().data.mean(axis=1)
         for j in range(4):
             assert np.allclose(out[:, j], mean_col)
@@ -124,20 +129,25 @@ class TestSpatialAttention:
         t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
         lam = math.sqrt(2.0)
         want, want_b = brute_force_spatial(t_rows, s_rows, lam)
-        got = spatial_cross_attention(t, s).values.data.reshape(2, 2)
+        got = spatial_output(t, s)
         got_b = spatial_attention_matrix(t, s).data
         assert np.max(np.abs(got - np.array(want))) < 1e-12
         assert np.max(np.abs(got_b - np.array(want_b))) < 1e-12
+        got_gk = spatial_cross_attention(t, s, 0.8).item()
+        assert abs(got_gk - brute_force_gk(want, t_rows, 0.8, True)) < 1e-12
 
 
 class TestFusedSpatialAttention:
     """The blocked op against the composite reference it replaces.
 
-    The forward sums each column along a row of its transposed block and
-    divides after the output product, so it rounds differently from the
-    composite at every N: it is held to 1e-13 relative of the composite and
-    to 1e-14 relative of an extended-precision reference. Gradients are
-    held to 1e-12 relative of the composite.
+    The output y of the block loop, read through `tensor._attend_blocks`,
+    sums each column along a row of its transposed block and divides after
+    the output product, so it rounds differently from the composite at
+    every N: it is held to 1e-13 relative of the composite and to 1e-14
+    relative of an extended-precision reference. The kernel distance is
+    computed from y as `gaussian_kernel_distance` computes it, bitwise.
+    Gradients, formed in the forward's loop, are held to 1e-12 relative of
+    the composite's.
     """
 
     @staticmethod
@@ -149,27 +159,32 @@ class TestFusedSpatialAttention:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @staticmethod
+    def composite_output(t, s, scale):
+        logits = T.matmul(T.transpose(T.mul(t, scale)), s)
+        return T.matmul(s, T.softmax_cols(logits))
+
+    @staticmethod
     def run(fused, shape, seed):
         g = np.random.default_rng(seed)
         t = Tensor(g.normal(size=shape), requires_grad=True)
         s = Tensor(g.normal(size=shape), requires_grad=True)
-        weight = Tensor(g.normal(size=shape))
         ft, fs = FeatureMap(t), FeatureMap(s)
         with T.count_macs() as counter:
             if fused:
-                out = spatial_cross_attention(ft, fs).values
+                out = spatial_cross_attention(ft, fs, 1.3)
             else:
                 b = spatial_attention_matrix(ft, fs)
-                out = T.reshape(T.matmul(fs.matrix(), b), shape)
-        T.sum_(T.mul(out, weight)).backward()
-        return out.data, t.grad, s.grad, counter.macs
+                y = T.reshape(T.matmul(fs.matrix(), b), shape)
+                out = gaussian_kernel_distance(y, t, 1.3)
+        out.backward()
+        return out.item(), t.grad, s.grad, counter.macs
 
     @pytest.mark.parametrize("hw", [(2, 2), (7, 5), (32, 32)])
     def test_matches_composite_path(self, hw):
         shape = (4,) + hw
         out, dt, ds, macs = self.run(True, shape, seed=sum(hw))
         ref_out, ref_dt, ref_ds, ref_macs = self.run(False, shape, seed=sum(hw))
-        self.assert_forward_matches(out, ref_out)
+        assert abs(out - ref_out) <= 1e-13 * abs(ref_out)
         for got, want in ((dt, ref_dt), (ds, ref_ds)):
             self.assert_grad_matches(got, want)
         assert macs == ref_macs == 2 * 4 * (hw[0] * hw[1]) ** 2
@@ -178,28 +193,46 @@ class TestFusedSpatialAttention:
     @pytest.mark.parametrize("n", [35, T.ATTEND_BLOCK, T.ATTEND_BLOCK + 1, 1000, 1024])
     @pytest.mark.parametrize("c", [1, 4, 8])
     def test_blocks_match_composite(self, c, n, trainable):
-        def run(blocked):
-            g = np.random.default_rng(c * n)
-            t = Tensor(g.normal(size=(c, n)), requires_grad="t" in trainable)
-            s = Tensor(g.normal(size=(c, n)), requires_grad="s" in trainable)
-            weight = Tensor(g.normal(size=(c, n)))
-            scale = 1.0 / math.sqrt(c)
-            if blocked:
-                out = T.spatial_attend(t, s, scale)
-            else:
-                logits = T.matmul(T.transpose(T.mul(t, scale)), s)
-                out = T.matmul(s, T.softmax_cols(logits))
-            T.sum_(T.mul(out, weight)).backward()
-            return out.data, t.grad, s.grad
+        g = np.random.default_rng(c * n)
+        t0, s0, u0 = (g.normal(size=(c, n)) for _ in range(3))
+        scale, sigma = 1.0 / math.sqrt(c), 1.1
+        y = T._attend_blocks(t0, s0, scale)[0]
+        self.assert_forward_matches(y, self.composite_output(Tensor(t0), Tensor(s0), scale).data)
 
-        out, dt, ds = run(True)
-        ref_out, ref_dt, ref_ds = run(False)
-        self.assert_forward_matches(out, ref_out)
-        for name, got, want in (("t", dt, ref_dt), ("s", ds, ref_ds)):
-            if name in trainable:
-                self.assert_grad_matches(got, want)
+        def run(blocked, u_is_t):
+            t = Tensor(t0, requires_grad="t" in trainable)
+            s = Tensor(s0, requires_grad="s" in trainable)
+            u = t if u_is_t else Tensor(u0, requires_grad=True)
+            if blocked:
+                out = T.spatial_kernel_distance(t, s, u, scale, sigma)
             else:
-                assert got is None
+                out = gaussian_kernel_distance(self.composite_output(t, s, scale), u, sigma)
+            out.backward()
+            return out.item(), {"t": t.grad, "s": s.grad, "u": u.grad}
+
+        for u_is_t in (True, False):
+            out, grads = run(True, u_is_t)
+            ref_out, ref_grads = run(False, u_is_t)
+            assert abs(out - ref_out) <= 1e-13 * abs(ref_out)
+            for name, want in ref_grads.items():
+                if want is None:
+                    assert grads[name] is None
+                else:
+                    self.assert_grad_matches(grads[name], want)
+            assert (ref_grads["t"] is None) == ("t" not in trainable)
+            assert (ref_grads["s"] is None) == ("s" not in trainable)
+
+    @pytest.mark.parametrize("n", [35, T.ATTEND_BLOCK + 1])
+    def test_distance_reads_the_checked_output(self, n):
+        # the loop's gradient work leaves y's bits alone, and the distance
+        # is `gaussian_kernel_distance` of that y, bit for bit
+        g = np.random.default_rng(n)
+        t, s, u = (g.normal(size=(3, n)) for _ in range(3))
+        y = T._attend_blocks(t, s, 0.7)[0]
+        assert np.array_equal(T._attend_blocks(t, s, 0.7, u)[0], y)
+        got = T.spatial_kernel_distance(Tensor(t, requires_grad=True), Tensor(s), Tensor(u),
+                                        0.7, 0.9)
+        assert got.item() == gaussian_kernel_distance(Tensor(y), Tensor(u), 0.9).item()
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                         reason="np.longdouble is float64 here: the reference would not be "
@@ -210,7 +243,7 @@ class TestFusedSpatialAttention:
         g = np.random.default_rng(c * n)
         t, s = g.normal(size=(c, n)), g.normal(size=(c, n))
         scale = 1.0 / math.sqrt(c)
-        out = T.spatial_attend(Tensor(t), Tensor(s), scale).data
+        out = T._attend_blocks(t, s, scale)[0]
         want = extended_spatial_attend(t, s, scale)
         assert np.max(np.abs(out - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -221,17 +254,25 @@ class TestFusedSpatialAttention:
         s = Tensor(g.normal(size=(c, n)), requires_grad=True)
         tracemalloc.start()
         try:
-            T.sum_(T.spatial_attend(t, s, 0.5)).backward()
+            T.spatial_kernel_distance(t, s, t, 0.5, 1.0).backward()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # three float64 blocks of ATTEND_BLOCK x N, 6 MiB; one N x N matrix is 128 MiB
-        assert peak < 3 * 8 * T.ATTEND_BLOCK * n
+        # two float64 blocks of ATTEND_BLOCK x N (P and dL) and ten (C, N)
+        # arrays, 5.25 MiB, under the earlier bound of three blocks, 6 MiB
+        # (the peak holds about eight (C, N) arrays); one N x N matrix is
+        # 128 MiB
+        assert peak < 2 * 8 * T.ATTEND_BLOCK * n + 10 * 8 * c * n
 
     def test_rejects_mismatched_operands(self):
         g = np.random.default_rng(0)
+        a, b = Tensor(g.normal(size=(2, 3))), Tensor(g.normal(size=(3, 3)))
         with pytest.raises(ShapeError):
-            T.spatial_attend(Tensor(g.normal(size=(2, 3))), Tensor(g.normal(size=(3, 3))), 1.0)
+            T.spatial_kernel_distance(a, b, a, 1.0, 1.0)
+        with pytest.raises(ShapeError):
+            T.spatial_kernel_distance(a, a, b, 1.0, 1.0)
+        with pytest.raises(RangeError):
+            T.spatial_kernel_distance(a, a, a, 1.0, 0.0)
 
 
 class TestNormalizationProperties:
@@ -259,7 +300,8 @@ class TestNormalizationProperties:
     def test_output_shape_matches_student(self):
         t, s = random_pair(11, c=4, h=3, w=5)
         assert channel_cross_attention(t, s).values.shape == s.values.shape
-        assert spatial_cross_attention(t, s).values.shape == s.values.shape
+        assert spatial_output(t, s).shape == s.matrix().shape
+        assert spatial_cross_attention(t, s, 1.0).shape == ()
 
 
 class TestGradients:
@@ -272,8 +314,7 @@ class TestGradients:
             return T.sum_(T.mul(out.values, out.values))
 
         def f_spatial(x):
-            out = spatial_cross_attention(t, FeatureMap(x))
-            return T.sum_(T.mul(out.values, out.values))
+            return spatial_cross_attention(t, FeatureMap(x), 0.7)
 
         assert T.gradcheck(f_channel, x0) < 1e-4
         assert T.gradcheck(f_spatial, x0) < 1e-4
@@ -287,10 +328,9 @@ class TestGradients:
 
         def f(wt):
             p_t = (wt, Tensor(np.zeros(2)))
-            s_f, s_fc, s_ft, t_f = cross_net_features(t_raw, s_raw, p_t, p_s)
+            s_f, s_fc, gk_ft, t_f = cross_net_features(t_raw, s_raw, p_t, p_s, 0.7)
             diff = T.sub(s_fc.values, t_f.values)
-            diff2 = T.sub(s_ft.values, t_f.values)
-            return T.add(T.sum_(T.mul(diff, diff)), T.sum_(T.mul(diff2, diff2)))
+            return T.add(T.sum_(T.mul(diff, diff)), gk_ft)
 
         assert T.gradcheck(f, weight0) < 1e-4
 
@@ -300,9 +340,9 @@ class TestGradients:
         s_leaf = Tensor(g.normal(size=(2, 2, 2)), requires_grad=True)
         p_t = make_projector(3, 2, g)
         p_s = make_projector(2, 2, g)
-        s_f, s_fc, s_ft, t_f = cross_net_features(
-            FeatureMap(t_leaf), FeatureMap(s_leaf), p_t, p_s)
-        loss = T.sum_(T.mul(s_fc.values, s_fc.values))
+        s_f, s_fc, gk_ft, t_f = cross_net_features(
+            FeatureMap(t_leaf), FeatureMap(s_leaf), p_t, p_s, 1.0)
+        loss = T.add(T.sum_(T.mul(s_fc.values, s_fc.values)), gk_ft)
         loss.backward(leaves=[t_leaf, s_leaf, p_t[0]])
         assert np.array_equal(t_leaf.grad, np.zeros_like(t_leaf.data))
         assert np.any(s_leaf.grad != 0.0)
@@ -313,4 +353,4 @@ class TestGradients:
         t_raw, s_raw = random_pair(17, c=2)
         with pytest.raises(ConfigError):
             cross_net_features(t_raw, s_raw, make_projector(2, 3, g),
-                               make_projector(2, 4, g))
+                               make_projector(2, 4, g), 1.0)

@@ -97,19 +97,20 @@ class TestGkFeatureLoss:
         w = LossWeights()
         t = fmap(np.zeros((2, 1, 2)))
         s = fmap(np.full((2, 1, 2), 0.5))
-        d = gaussian_kernel_distance(s.values, t.values, w.sigma).item()
-        loss = gk_block_loss(s, s, s, t, w).item()
+        d = gaussian_kernel_distance(s.values, t.values, w.sigma)
+        loss = gk_block_loss(s, s, d, t, w).item()
+        d = d.item()
         assert abs(loss - 2.0 * d) < 1e-12
 
     def test_identity_composition_is_zero(self):
         s = fmap([[[0.7]]])
         t = fmap([[[0.7]]])
         s_fc = channel_cross_attention(t, s)
-        s_ft = spatial_cross_attention(t, s)
-        assert np.allclose(s_fc.values.data, s.values.data)
-        assert np.allclose(s_ft.values.data, s.values.data)
         w = LossWeights()
-        assert gk_feature_loss([(s, s_fc, s_ft, t)], w).item() == 0.0
+        gk_ft = spatial_cross_attention(t, s, w.sigma)
+        assert np.allclose(s_fc.values.data, s.values.data)
+        assert gk_ft.item() == 0.0
+        assert gk_feature_loss([(s, s_fc, gk_ft, t)], w).item() == 0.0
 
     def test_hand_case_matches_scalar_pipeline(self):
         t_rows = [[1.0, 0.0], [0.0, 1.0]]
@@ -118,8 +119,8 @@ class TestGkFeatureLoss:
         w = LossWeights(sigma=1.0)
         t, s = fmap([[r] for r in t_rows]), fmap([[r] for r in s_rows])
         s_fc = channel_cross_attention(t, s)
-        s_ft = spatial_cross_attention(t, s)
-        got = gk_feature_loss([(s, s_fc, s_ft, t)], w).item()
+        gk_ft = spatial_cross_attention(t, s, w.sigma)
+        got = gk_feature_loss([(s, s_fc, gk_ft, t)], w).item()
 
         fc_rows, _ = brute_force_channel(t_rows, s_rows, lam)
         ft_rows, _ = brute_force_spatial(t_rows, s_rows, lam)
@@ -132,8 +133,9 @@ class TestGkFeatureLoss:
         w = LossWeights()
         t = fmap(np.zeros((1, 1, 1)))
         s = fmap(np.ones((1, 1, 1)))
-        one = gk_block_loss(s, s, s, t, w).item()
-        total = gk_feature_loss([(s, s, s, t), (s, s, s, t)], w).item()
+        d = gaussian_kernel_distance(s.values, t.values, w.sigma)
+        one = gk_block_loss(s, s, d, t, w).item()
+        total = gk_feature_loss([(s, s, d, t), (s, s, d, t)], w).item()
         assert abs(total - 2.0 * one) < 1e-12
 
     def test_no_blocks(self):

@@ -10,7 +10,7 @@ from scipy.special import erf
 
 from skdistill.errors import NonFiniteError, ShapeError
 from skdistill import gradsuite, tensor as T
-from skdistill.losses import LossWeights, gaussian_kernel_distance, total_loss
+from skdistill.losses import LossWeights, total_loss
 from skdistill.tensor import Tensor
 from skdistill.trainer import AdamState, adam_step
 
@@ -188,7 +188,7 @@ _OWN_CHECK = {
     "conv2d": "conv2d",
     "depthwise_conv2d": "depthwise_conv2d",
     "upsample2x_depthwise_conv2d": "upsample2x_depthwise_conv2d (x/w/bias)",
-    "spatial_attend": "spatial_attend (t/s)",
+    "spatial_kernel_distance": "spatial_kernel_distance (t/s/u)",
 }
 
 
@@ -294,7 +294,8 @@ NODE_OPS = {
     "matmul": (T.matmul, [(2, 3), (3, 4)]),
     "softmax_rows": (T.softmax_rows, [(2, 3)]),
     "softmax_cols": (T.softmax_cols, [(2, 3)]),
-    "spatial_attend": (lambda t, s: T.spatial_attend(t, s, 0.5), [(2, 3), (2, 3)]),
+    "spatial_kernel_distance": (lambda t, s, u: T.spatial_kernel_distance(t, s, u, 0.5, 1.0),
+                                [(2, 3), (2, 3), (2, 3)]),
     "linear": (T.linear, [(2, 3), (3, 4), (2,)]),
     "layer_norm_channels": (T.layer_norm_channels, [(3, 4), (3,), (3,)]),
     "conv2d": (lambda x, w, b: T.conv2d(x, w, b, stride=2), [(2, 4, 4), (3, 2, 3, 3), (3,)]),
@@ -336,11 +337,10 @@ class TestGraphRelease:
             t = Tensor(g.normal(size=(3, 6)), requires_grad=True)
             s = Tensor(g.normal(size=(3, 6)), requires_grad=True)
             e = T.exp(T.mul(t, 0.1))
-            mixed = T.spatial_attend(e, s, 0.5)
-            loss = gaussian_kernel_distance(mixed, Tensor(g.normal(size=(3, 6))), 1.0)
+            loss = T.spatial_kernel_distance(e, s, Tensor(g.normal(size=(3, 6))), 0.5, 1.0)
             loss.backward(leaves=[t, s])
-            probes = [weakref.ref(e), weakref.ref(mixed)]
-            del e, mixed, loss
+            probes = [weakref.ref(e), weakref.ref(loss)]
+            del e, loss
             assert [p() for p in probes] == [None, None]
         finally:
             if was_enabled:
